@@ -25,7 +25,7 @@
 
 use crate::experiments::{bigfleet, consolidate, fleetwatch, recovery, resilience, scaling};
 use crate::{RunOptions, Table};
-use gss_telemetry::json::{self, Json};
+use gss_telemetry::json::{self, json_f64, Json};
 
 /// One benchmarked metric with its tolerance band.
 #[derive(Debug, Clone, PartialEq)]
@@ -459,14 +459,6 @@ pub fn collect(options: &RunOptions) -> Baseline {
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 impl Baseline {
     /// Serializes the baseline as pretty-printed deterministic JSON.
     pub fn to_json(&self) -> String {
@@ -476,11 +468,11 @@ impl Baseline {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str("  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
-            let tol = |t: Option<f64>| t.map_or("null".to_owned(), json_num);
+            let tol = |t: Option<f64>| t.map_or("null".to_owned(), json_f64);
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"value\": {}, \"abs_tol\": {}, \"rel_tol\": {}}}{}\n",
                 m.name,
-                json_num(m.value),
+                json_f64(m.value),
                 tol(m.abs_tol),
                 tol(m.rel_tol),
                 if i + 1 < self.metrics.len() { "," } else { "" }

@@ -22,6 +22,7 @@ use crate::bench::{self, Baseline};
 use crate::experiments::resilience::{self, ResilienceRuns};
 use crate::RunOptions;
 use gamestreamsr::session::SessionReport;
+use gss_telemetry::json::{json_escape, json_f64};
 use gss_telemetry::prom::{self, PromSession};
 use std::fmt::Write as _;
 
@@ -185,7 +186,7 @@ impl TriageReport {
             out,
             "{{\n  \"report\": \"gss-triage\",\n  \"mode\": \"{}\",\n  \"budget_ms\": {},\n  \"sessions\": [",
             if self.quick { "quick" } else { "full" },
-            jf(gss_telemetry::REALTIME_BUDGET_MS)
+            json_f64(gss_telemetry::REALTIME_BUDGET_MS)
         );
         for (i, (name, r)) in self.sessions().iter().enumerate() {
             if i > 0 {
@@ -198,7 +199,7 @@ impl TriageReport {
                  \"attribution\": {},\n     \"slo\": {}}}",
                 r.frames.len(),
                 r.telemetry.deadline_misses,
-                jf(r.fps_effective()),
+                json_f64(r.fps_effective()),
                 r.longest_frozen_run(),
                 r.max_rung(),
                 r.attribution.to_json(),
@@ -208,14 +209,18 @@ impl TriageReport {
         out.push_str("\n  ],\n  \"drift\": ");
         match &self.drift {
             DriftSection::Skipped { reason } => {
-                let _ = write!(out, "{{\"skipped\": \"{}\"}}", escape(reason));
+                let _ = write!(out, "{{\"skipped\": \"{}\"}}", json_escape(reason));
             }
             DriftSection::Checked {
                 baseline,
                 rows,
                 missing_from_baseline,
             } => {
-                let _ = write!(out, "{{\"baseline\": \"{}\", \"rows\": [", escape(baseline));
+                let _ = write!(
+                    out,
+                    "{{\"baseline\": \"{}\", \"rows\": [",
+                    json_escape(baseline)
+                );
                 for (i, r) in rows.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -224,10 +229,10 @@ impl TriageReport {
                         out,
                         "\n    {{\"name\": \"{}\", \"baseline\": {}, \"current\": {}, \
                          \"abs_tol\": {}, \"ok\": {}}}",
-                        escape(&r.name),
-                        jf(r.baseline),
-                        jf(r.current),
-                        jf(r.abs_tol),
+                        json_escape(&r.name),
+                        json_f64(r.baseline),
+                        json_f64(r.current),
+                        json_f64(r.abs_tol),
                         r.ok
                     );
                 }
@@ -236,7 +241,7 @@ impl TriageReport {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\"", escape(name));
+                    let _ = write!(out, "\"{}\"", json_escape(name));
                 }
                 out.push_str("]}");
             }
@@ -246,8 +251,8 @@ impl TriageReport {
             out,
             ",\n  \"gate\": {{\"min_attributed_fraction\": {}, \"attributed_fraction\": {}, \
              \"slo_breaches\": {}, \"pass\": {}, \"failures\": [",
-            jf(MIN_ATTRIBUTED_FRACTION),
-            jf(self.runs.controller.attribution.attributed_fraction()),
+            json_f64(MIN_ATTRIBUTED_FRACTION),
+            json_f64(self.runs.controller.attribution.attributed_fraction()),
             self.runs.controller.slo.total_breaches(),
             failures.is_empty()
         );
@@ -255,7 +260,7 @@ impl TriageReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\"", escape(f));
+            let _ = write!(out, "\n    \"{}\"", json_escape(f));
         }
         out.push_str("]}\n}\n");
         out
@@ -298,30 +303,4 @@ impl TriageReport {
         }
         out
     }
-}
-
-/// Deterministic float rendering (shared shape with the telemetry JSON).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Minimal JSON string escaping for report-internal strings.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -1,11 +1,19 @@
 //! Fleet-scale consolidation simulator: many sessions, one server, one
 //! shared uplink.
 //!
-//! A consolidation server runs N concurrent [`session`](crate::session)-
-//! style pipelines behind a single bottleneck uplink with a global
-//! bandwidth budget. [`FleetSim`] is the discrete-event driver: logical
-//! time advances in 60 Hz ticks ([`FleetSim::step`]), and each tick runs
-//! five phases in a fixed order:
+//! A consolidation server runs N concurrent sessions behind a single
+//! bottleneck uplink with a global bandwidth budget. Every session is the
+//! same per-frame step [`run_session`](crate::session::run_session)
+//! drives — fault telemetry, crash recovery, NACK, encode, the freeze and
+//! deadline verdicts, SLO and the degradation ladder — configured as a
+//! modeled-only GameStreamSR session with loss recovery on. The fleet
+//! injects only what consolidation changes: a [`SharedLink`] flow instead
+//! of a private link, a rate cap from the fair-share allocator, the
+//! server's time-sharing factor, and its fleet-watch detectors.
+//!
+//! [`FleetSim`] is the discrete-event driver: logical time advances in
+//! 60 Hz ticks ([`FleetSim::step`]), and each tick runs six phases in a
+//! fixed order:
 //!
 //! 1. **Departures** — sessions whose scripted `leave_tick` arrived are
 //!    finalized (their last frame is `leave_tick - 1`).
@@ -15,54 +23,54 @@
 //!    [`AdmissionPolicy::queue_limit`] waiting slots are rejected.
 //! 3. **Allocation** — the shared budget
 //!    (`bandwidth_mbps × uplink_utilization`) is split fairly across the
-//!    admitted sessions; each session's encoder rate target is actuated
-//!    through [`GameStreamServer::set_rate_target_scale`], *composed* with
-//!    its degradation-ladder rung scale. Server-side stage latencies are
+//!    admitted sessions; each session's rate cap `min(1, (budget/n) /
+//!    session_rate)` is *composed* with its degradation-ladder rung scale
+//!    on the encoder's rate target. Server-side stage latencies are
 //!    stretched by the consolidation factor `ceil(n / server_slots)` —
 //!    sessions time-share the render/encode GPU.
-//! 4. **Produce** (parallel) — every admitted session renders, detects its
-//!    RoI and encodes its frame. Sessions are batched across the worker
-//!    pool via [`PoolHandle::for_each_mut`]; each session owns its
-//!    recorder, trace sink and RNG-free pipeline state, so the phase is
-//!    embarrassingly parallel and bit-deterministic at any worker count.
-//! 5. **Transport + control** (serial) — staged packets cross the
+//! 4. **Produce** (parallel) — every admitted session opens its frame:
+//!    faults, recovery, NACK, then render, RoI detection and encode.
+//!    Sessions are batched across the worker pool via
+//!    [`PoolHandle::for_each_mut`]; each session owns its recorder, trace
+//!    sink and RNG-free pipeline state, so the phase is embarrassingly
+//!    parallel and bit-deterministic at any worker count. Only a small
+//!    staged summary survives the phase, never the server packet.
+//! 5. **Transport + control** (serial) — staged frames cross the
 //!    [`SharedLink`] in session order (the bottleneck has one clock and
 //!    one RNG, so the serial order *is* the determinism contract), then
-//!    each session runs its client model, NACK/recovery machines,
-//!    SLO engine and degradation controller.
+//!    each session lands and closes its frame, runs the rung-flap and
+//!    starvation detectors, and lets its controller adapt.
+//! 6. **Watch** (serial) — fleet time-series, the admission-storm
+//!    detector, the knee, and the fleet-wide trace retention cap.
 //!
 //! Determinism: one seed fixes the shared channel; per-session pipelines
-//! consume no shared mutable state in the parallel phase; phases 1–3 and
-//! 5 are serial. Two runs with the same [`FleetConfig`] produce
+//! consume no shared mutable state in the parallel phase; every other
+//! phase is serial. Two runs with the same [`FleetConfig`] produce
 //! byte-identical [`FleetReport::to_json`] output at any worker count —
-//! `tests/fleet.rs` pins this.
+//! `tests/fleet.rs` pins this, and also that a one-session fleet on an
+//! uncontended link reproduces `run_session`.
 
 use std::collections::VecDeque;
 
-use crate::degrade::{
-    DegradationConfig, DegradationController, LadderRung, LadderStep, NackManager, NackSignal,
-    LADDER,
-};
-use crate::mtp::{self, MtpBreakdown, FULL_LR};
-use crate::negotiate::negotiate;
-use crate::recovery::{RecoveryConfig, RecoveryEvent, RecoveryMachine, RecoverySummary};
-use crate::roi::{plan_roi_window, RoiDetectorConfig};
-use crate::server::{GameStreamServer, ServerConfig};
+use crate::degrade::{DegradationConfig, LADDER};
+use crate::recovery::RecoverySummary;
+use crate::session::{Pipeline, SessionConfig};
+use crate::step::{SessionStep, Staged};
 use crate::GssError;
-use gss_codec::{EncoderConfig, FrameType, RateControlConfig};
+use gss_codec::RateControlConfig;
 use gss_net::{DropCause, FaultPlan, FlowStats, LinkProfile, SharedLink};
 use gss_platform::pool::PoolHandle;
 use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_render::GameId;
+use gss_telemetry::json::{json_escape, json_f64};
 use gss_telemetry::timeseries::{
     jain_fairness, AdmissionStormDetector, RungFlapDetector, SeriesSet, StarvationDetector,
     DEFAULT_CAPACITY,
 };
 use gss_telemetry::{
-    chrome_trace_json_ext, enforce_fleet_cap, Attributor, Counter, CounterTrack, FrameHealth,
-    Gauge, InstantKind, Level, Recorder, SamplingPolicy, SamplingSummary, SamplingTraceSink,
-    SessionAttribution, SinkHandle, SloEngine, SloSummary, TelemetrySummary, TraceInstant,
-    TraceSession, TraceSink,
+    chrome_trace_json_ext, enforce_fleet_cap, Counter, CounterTrack, InstantKind, Level,
+    SamplingPolicy, SamplingSummary, SamplingTraceSink, SessionAttribution, SinkHandle, SloSummary,
+    TelemetrySummary, TraceInstant, TraceSession,
 };
 
 /// One session's place in the fleet timeline.
@@ -230,50 +238,53 @@ impl FleetConfig {
         self.link.bandwidth_mbps * self.uplink_utilization
     }
 
-    fn canvas_to_full(&self) -> f64 {
-        let ratio = FULL_LR.pixels() as f64 / (self.lr_size.0 * self.lr_size.1) as f64;
-        ratio.powf(0.835)
+    /// The `run_session` configuration one fleet session streams with:
+    /// the fleet's canvas, GOP, codec and server model, rate control at
+    /// the nominal per-session rate, loss recovery always on and no pixel
+    /// path. The tail sampler, when present, rides as its telemetry sink.
+    fn session_config(
+        &self,
+        spec: &FleetSessionSpec,
+        sampler: Option<&SamplingTraceSink>,
+    ) -> SessionConfig {
+        SessionConfig {
+            link: self.link.clone(),
+            gop_size: self.gop_size,
+            lr_size: self.lr_size,
+            evaluate_quality: false,
+            encoder_quality: self.encoder_quality,
+            server_model: self.server_model.clone(),
+            // consolidation needs the controller to actually reach small
+            // per-session shares, so open the quantizer range all the way
+            // down
+            rate_control: Some(RateControlConfig {
+                min_quality: 10,
+                ..RateControlConfig::for_bitrate_mbps(self.session_rate_mbps)
+            }),
+            loss_recovery: true,
+            telemetry: sampler.map(|s| SinkHandle::new(s.clone())),
+            fault_plan: spec.fault_plan.clone(),
+            degradation: self.degradation,
+            pool: self.pool,
+            ..SessionConfig::new(spec.game, spec.device.clone())
+        }
     }
 }
 
-/// Packet staged by the parallel produce phase for the serial transport
-/// phase.
-struct StagedPacket {
-    bytes_full: usize,
-    frame_type: FrameType,
-    rung: usize,
-    slowdown: f64,
-    stall_ms: f64,
-}
-
-/// One admitted session's live pipeline state.
+/// One admitted session: the shared per-frame step plus the fleet's own
+/// flow, report accumulators and per-tick observability.
 struct ActiveSession {
     spec_idx: usize,
-    device: DeviceProfile,
-    fault_plan: FaultPlan,
     joined_tick: usize,
     flow: usize,
-    frame: usize,
-    server: GameStreamServer,
-    rec: Recorder,
-    trace: TraceSink,
-    /// Tail-sampling collector fed the same event stream as `trace` when
-    /// [`FleetConfig::sampling`] is on. The full sink stays for
-    /// attribution replay at finalize; only the sampler's retained frames
-    /// survive into the merged trace.
+    step: SessionStep,
+    /// Tail-sampling collector fed the same event stream as the step's
+    /// full trace when [`FleetConfig::sampling`] is on; only its retained
+    /// frames survive into the merged trace.
     sampler: Option<SamplingTraceSink>,
-    slo: SloEngine,
-    controller: Option<DegradationController>,
-    pinned_rung: usize,
-    nack: NackManager,
-    recovery: Option<RecoveryMachine>,
-    base_side: usize,
-    active_side: usize,
-    active_cost: f64,
-    decode_pixels: usize,
-    alloc_scale: f64,
-    active_faults: Vec<&'static str>,
-    staged: Option<StagedPacket>,
+    /// What the parallel produce phase staged for the serial transport
+    /// phase (never the server packet itself).
+    staged: Option<Staged>,
     error: Option<GssError>,
     // accumulators
     frames_total: u64,
@@ -301,142 +312,17 @@ struct ActiveSession {
 }
 
 impl ActiveSession {
-    /// The rung the session should currently be running (controller rung,
-    /// or the negotiated pin without a controller).
-    fn current_rung(&self) -> LadderRung {
-        match &self.controller {
-            Some(ctl) => ctl.rung_params(),
-            None => LADDER[self.pinned_rung],
-        }
-    }
-
-    /// Applies one ladder rung to the live pipeline, composing the rate
-    /// scale with the fleet allocator's share (the session-level analogue
-    /// of `session::apply_rung_params`; the client tier is implied by
-    /// `active_cost` since fleet sessions skip the pixel data path).
-    fn apply_rung(&mut self, rung: &LadderRung, lr_size: (usize, usize)) {
-        self.active_side = rung.roi_side(&self.device, self.base_side);
-        self.active_cost = rung.tier.map_or(1.0, |t| t.cost_ratio());
-        self.server
-            .set_rate_target_scale(rung.rate_scale * self.alloc_scale);
-        let canvas_side = ((self.active_side * lr_size.0) / FULL_LR.width())
-            .max(8)
-            .min(lr_size.0.min(lr_size.1));
-        self.server.set_roi_window((canvas_side, canvas_side));
-    }
-
-    /// Folds recovery-machine transitions into the live session (the
-    /// fleet-local analogue of `session::apply_recovery_events`).
-    fn apply_recovery(&mut self, events: &[RecoveryEvent], now_ms: f64, lr_size: (usize, usize)) {
-        for ev in events {
-            self.rec.instant(InstantKind::Recovery, now_ms, ev.detail());
-            match ev {
-                RecoveryEvent::CrashDetected { .. } => {
-                    self.rec.incr(Counter::DecoderCrashes);
-                    self.rec.log(Level::Warn, ev.detail());
-                    if let Some(ctl) = self.controller.as_mut() {
-                        if ctl.force_rung(LADDER.len() - 1) {
-                            let rung = ctl.rung_params();
-                            self.apply_rung(&rung, lr_size);
-                        }
-                    }
-                }
-                RecoveryEvent::Reconfiguring { .. } => {
-                    self.rec.incr(Counter::DecoderReconfigures);
-                }
-                RecoveryEvent::AwaitingKeyframe => {
-                    self.nack.on_keyframe_delivered();
-                    self.nack.on_loss();
-                }
-                RecoveryEvent::AttemptFailed { .. } => {
-                    self.rec.log(Level::Warn, ev.detail());
-                }
-                RecoveryEvent::SafeProfileFallback => {
-                    self.rec.log(Level::Error, ev.detail());
-                    if let Some(ctl) = self.controller.as_mut() {
-                        if ctl.clamp_ceiling(LADDER.len() - 1) {
-                            let rung = ctl.rung_params();
-                            self.apply_rung(&rung, lr_size);
-                        }
-                    }
-                }
-                RecoveryEvent::Recovered { .. } => {
-                    self.rec.log(Level::Info, ev.detail());
-                }
-            }
-        }
-    }
-
-    /// Parallel phase: open the frame, walk the fault/recovery/NACK
-    /// machinery, render + detect + encode, and stage the packet for the
-    /// serial transport phase. Touches only `self`.
-    fn produce(&mut self, now_ms: f64, config: &FleetConfig) {
-        self.rec.begin_frame(self.frame as u64);
-        let faults_now = self.fault_plan.active_labels(now_ms);
-        if faults_now != self.active_faults {
-            let msg = if faults_now.is_empty() {
-                "faults cleared".to_owned()
-            } else {
-                format!("faults active: {}", faults_now.join("+"))
-            };
-            self.rec.log(Level::Warn, msg.clone());
-            self.rec.instant(InstantKind::Fault, now_ms, msg);
-            self.active_faults = faults_now;
-        }
-        let slowdown = self.fault_plan.npu_slowdown(now_ms);
-        if slowdown > 1.0 {
-            self.rec.gauge(Gauge::NpuSlowdown, slowdown);
-        }
-        if self.recovery.is_some() {
-            let crashed = self.fault_plan.decoder_crashed(now_ms);
-            let events = self
-                .recovery
-                .as_mut()
-                .map(|rm| rm.begin_frame(crashed))
-                .unwrap_or_default();
-            self.apply_recovery(&events, now_ms, config.lr_size);
-            if let Some(rm) = &self.recovery {
-                self.rec
-                    .gauge(Gauge::RecoveryState, rm.state().gauge_value());
-            }
-        }
-        let rung_now = self.controller.as_ref().map_or(self.pinned_rung, |c| {
-            self.rec.gauge(Gauge::LadderRung, c.rung() as f64);
-            c.rung()
-        });
-        if let Some(signal) = self.nack.begin_frame() {
-            self.server.request_keyframe();
-            self.rec.incr(Counter::Nacks);
-            self.rec.instant(
-                InstantKind::Nack,
-                now_ms,
-                if signal == NackSignal::Retry {
-                    "keyframe re-request (retry)"
-                } else {
-                    "keyframe request"
-                },
-            );
-            if signal == NackSignal::Retry {
-                self.rec.incr(Counter::NackRetries);
-            }
-        }
-        match self.server.next_frame_traced(&mut self.rec) {
-            Ok(packet) => {
-                let byte_scale = config.canvas_to_full();
-                self.staged = Some(StagedPacket {
-                    bytes_full: (packet.encoded.size_bytes() as f64 * byte_scale) as usize,
-                    frame_type: packet.frame_type,
-                    rung: rung_now,
-                    slowdown,
-                    stall_ms: self.fault_plan.decoder_stall_ms(now_ms),
-                });
-            }
+    /// Parallel phase: open the frame and encode it. Touches only `self`;
+    /// the packet is dropped here, only its staged summary is kept.
+    fn produce(&mut self, now_ms: f64) {
+        match self.step.open(now_ms) {
+            Ok((staged, _packet)) => self.staged = Some(staged),
             Err(e) => self.error = Some(e),
         }
     }
 
-    /// Serial phase: cross the shared link, run the client/recovery/SLO
-    /// models, close the frame and let the controller renegotiate.
+    /// Serial phase: cross the shared link, land and close the frame, run
+    /// the streaming anomaly detectors, and let the controller adapt.
     fn transport(
         &mut self,
         link: &mut SharedLink,
@@ -447,140 +333,29 @@ impl ActiveSession {
         let Some(staged) = self.staged.take() else {
             return;
         };
-        let input_uplink_ms = link.control_latency_ms(self.flow);
-        let transfer = link.send_traced(self.flow, staged.bytes_full, now_ms, &mut self.rec);
-        let (mut dropped, downlink_ms) = if transfer.delivered() {
-            (false, transfer.transit_ms)
-        } else {
-            (true, config.link.queue_limit_ms + config.link.rtt_ms / 2.0)
-        };
-        let mut drop_cause = transfer.drop_cause;
-        let is_intra = staged.frame_type == FrameType::Intra;
-        if let Some(rm) = &self.recovery {
-            if !dropped && !rm.can_decode(is_intra) {
-                dropped = true;
-                drop_cause = Some(DropCause::DecoderDown);
-                self.rec.incr(Counter::FramesDropped);
-                self.rec.incr(Counter::DropsDecoderDown);
-                self.rec.instant(
-                    InstantKind::Drop,
-                    now_ms,
-                    format!("frame dropped: {}", DropCause::DecoderDown.label()),
-                );
-            }
-        }
-        let frozen = dropped || (self.nack.awaiting() && staged.frame_type == FrameType::Inter);
-        if frozen {
-            self.rec.incr(Counter::FramesFrozen);
-        }
-        if dropped {
-            self.nack.on_loss();
-        } else if is_intra {
-            self.nack.on_keyframe_delivered();
-        }
-        if self.recovery.is_some() {
-            let events = {
-                let rm = self.recovery.as_mut().expect("recovery present");
-                if frozen && rm.in_recovery() {
-                    rm.note_frozen();
-                }
-                rm.end_frame(!dropped && !frozen && is_intra)
-            };
-            self.apply_recovery(&events, now_ms, config.lr_size);
-        }
+        let uplink_ms = link.control_latency_ms(self.flow);
+        let transfer = link.send_traced(self.flow, staged.bytes, now_ms, self.step.rec());
+        let mut frame = self
+            .step
+            .deliver(staged, uplink_ms, &transfer, server_factor);
+        self.step.seal(&mut frame);
 
-        let (decode_ms, upscale) = if frozen {
-            (0.0, mtp::UpscaleTiming::default())
-        } else {
-            let decode = self.device.hw_decode_ms(self.decode_pixels) + staged.stall_ms;
-            let t = mtp::ours_upscale_degraded(
-                &self.device,
-                self.active_side,
-                self.active_cost,
-                staged.slowdown,
-            );
-            (decode, t)
-        };
-
-        let sm = &config.server_model;
-        let mtp_breakdown = MtpBreakdown {
-            input_uplink_ms,
-            engine_ms: sm.engine_tick_ms * server_factor,
-            render_ms: sm.render_ms(FULL_LR) * server_factor,
-            roi_extra_ms: (sm.roi_detect_ms(FULL_LR) - sm.encode_ms(FULL_LR)).max(0.0)
-                * server_factor,
-            encode_ms: sm.encode_ms(FULL_LR) * server_factor,
-            downlink_ms,
-            decode_ms,
-            upscale_ms: upscale.critical_ms,
-            display_ms: self.device.display_present_ms,
-        };
-        let server_side_ms = input_uplink_ms
-            + mtp_breakdown.engine_ms
-            + mtp_breakdown.render_ms
-            + mtp_breakdown.roi_extra_ms
-            + mtp_breakdown.encode_ms;
-        let upscale_start = mtp_breakdown.record_spans(&mut self.rec, now_ms - server_side_ms);
-        {
-            let render_end = now_ms - mtp_breakdown.roi_extra_ms - mtp_breakdown.encode_ms;
-            let depth_ms = sm.depth_capture_ms(FULL_LR) * server_factor;
-            self.rec
-                .record_span(gss_telemetry::Stage::DepthCapture, render_end, depth_ms);
-            self.rec.record_span(
-                gss_telemetry::Stage::RoiDetect,
-                render_end + depth_ms,
-                sm.roi_search_ms(FULL_LR) * server_factor,
-            );
-        }
-        upscale.record_spans(&mut self.rec, upscale_start);
-
-        let met_now = gss_telemetry::deadline_met(upscale.critical_ms, self.rec.budget_ms());
-        if !met_now {
-            self.rec.instant(
-                InstantKind::DeadlineMiss,
-                upscale_start + upscale.critical_ms,
-                format!(
-                    "critical path {:.2} ms > budget {:.2} ms",
-                    upscale.critical_ms,
-                    self.rec.budget_ms()
-                ),
-            );
-        }
-        for ev in self.slo.observe(&FrameHealth {
-            critical_ms: upscale.critical_ms,
-            deadline_met: met_now,
-            frozen,
-        }) {
-            self.rec.instant(
-                InstantKind::SloBreach,
-                now_ms - server_side_ms + mtp_breakdown.total_ms(),
-                ev.detail,
-            );
-        }
-        let deadline_met = self
-            .rec
-            .end_frame(
-                mtp_breakdown.total_ms(),
-                upscale.critical_ms,
-                staged.bytes_full as u64,
-            )
-            .expect("fleet sessions record one-shot spans only");
-
+        let f = &frame.record;
         self.frames_total += 1;
-        if deadline_met && !frozen {
+        if f.deadline_met && !f.frozen {
             self.frames_ok += 1;
         }
-        if frozen {
+        if f.frozen {
             self.frames_frozen += 1;
         }
-        if !deadline_met {
+        if !f.deadline_met {
             self.deadline_misses += 1;
         }
-        if drop_cause == Some(DropCause::DecoderDown) {
+        if f.drop_cause == Some(DropCause::DecoderDown) {
             self.drops_decoder_down += 1;
         }
-        self.max_rung = self.max_rung.max(staged.rung);
-        self.mtp_totals.push(mtp_breakdown.total_ms());
+        self.max_rung = self.max_rung.max(f.rung);
+        self.mtp_totals.push(f.mtp.total_ms());
 
         // per-tick observability: delivered-byte delta against the shared
         // ledger, the allocator's grant, and the streaming anomaly
@@ -588,61 +363,29 @@ impl ActiveSession {
         let delivered = link.stats(self.flow).bytes_delivered;
         let consumed_mbps = (delivered - self.prev_delivered) as f64 * 8.0 * 60.0 / 1e6;
         self.prev_delivered = delivered;
-        let alloc_mbps = config.session_rate_mbps * self.alloc_scale;
-        self.last_rung = staged.rung;
-        self.last_critical_ms = upscale.critical_ms;
+        let alloc_mbps = config.session_rate_mbps * self.step.alloc_scale();
+        self.last_rung = f.rung;
+        self.last_critical_ms = f.upscale_ms;
         self.last_alloc_mbps = alloc_mbps;
         self.last_consumed_mbps = consumed_mbps;
         self.consumed_ema += (consumed_mbps - self.consumed_ema) / 16.0;
         self.alloc_track.push((now_ms, alloc_mbps));
         self.consumed_track.push((now_ms, consumed_mbps));
-        if let Some(msg) = self.flap.observe(self.frame as u64, staged.rung) {
-            self.rec.incr(Counter::AnomalyRungFlap);
-            self.rec.log(Level::Warn, msg.clone());
-            self.rec.instant(InstantKind::Anomaly, now_ms, msg);
-        }
-        if let Some(msg) = self.starve.observe(consumed_mbps, alloc_mbps) {
-            self.rec.incr(Counter::AnomalyStarvation);
-            self.rec.log(Level::Warn, msg.clone());
-            self.rec.instant(InstantKind::Anomaly, now_ms, msg);
-        }
-
-        if let Some(ctl) = &mut self.controller {
-            if let Some(step) = ctl.observe(dropped || !deadline_met) {
-                let rung = ctl.rung_params();
-                let to = ctl.rung();
-                self.rec.incr(match step {
-                    LadderStep::Downgrade => Counter::LadderDowngrades,
-                    LadderStep::Upgrade => Counter::LadderUpgrades,
-                });
-                self.apply_rung(&rung, config.lr_size);
-                let shift_msg = format!(
-                    "ladder {}: rung {} -> {} ({}, roi {} px, rate x{:.2})",
-                    match step {
-                        LadderStep::Downgrade => "down",
-                        LadderStep::Upgrade => "up",
-                    },
-                    staged.rung,
-                    to,
-                    rung.tier_label(),
-                    self.active_side,
-                    rung.rate_scale
-                );
-                self.rec.log(
-                    match step {
-                        LadderStep::Downgrade => Level::Warn,
-                        LadderStep::Upgrade => Level::Info,
-                    },
-                    shift_msg.clone(),
-                );
-                self.rec.instant(
-                    InstantKind::LadderShift,
-                    now_ms - server_side_ms + mtp_breakdown.total_ms(),
-                    shift_msg,
-                );
+        let flap = self.flap.observe(f.index as u64, f.rung);
+        let starve = self.starve.observe(consumed_mbps, alloc_mbps);
+        for (counter, msg) in [
+            (Counter::AnomalyRungFlap, flap),
+            (Counter::AnomalyStarvation, starve),
+        ] {
+            if let Some(msg) = msg {
+                let rec = self.step.rec();
+                rec.incr(counter);
+                rec.log(Level::Warn, msg.clone());
+                rec.instant(InstantKind::Anomaly, now_ms, msg);
             }
         }
-        self.frame += 1;
+
+        self.step.adapt(&frame);
     }
 }
 
@@ -712,7 +455,7 @@ impl FleetSessionReport {
             self.deadline_misses,
             self.drops_decoder_down,
             self.max_rung,
-            jnum(self.fps_effective()),
+            json_f64(self.fps_effective()),
             self.flow.sent,
             self.flow.dropped,
             self.flow.drops_queue_overflow,
@@ -878,8 +621,8 @@ impl FleetWatchSummary {
              \"admission_storms\":{},\"series\":{}}}",
             self.knee_tick
                 .map_or_else(|| "null".to_owned(), |t| t.to_string()),
-            jnum(self.fairness_min),
-            jnum(self.fairness_mean),
+            json_f64(self.fairness_min),
+            json_f64(self.fairness_mean),
             self.rung_flaps,
             self.starvation_events,
             self.starved_max_streak,
@@ -1011,7 +754,7 @@ impl FleetReport {
              \"mean_fps_effective\":{},\"attributed_fraction\":{},\
              \"drops\":{{\"sent\":{},\"dropped\":{},\"queue_overflow\":{},\"outage\":{},\"bytes\":{}}}}}",
             json_escape(&self.link),
-            jnum(self.budget_mbps),
+            json_f64(self.budget_mbps),
             self.capacity,
             self.ticks,
             self.admission.admitted,
@@ -1022,11 +765,11 @@ impl FleetReport {
             self.total_frames(),
             self.total_deadline_misses(),
             self.total_frozen(),
-            jnum(self.mtp_p50_ms),
-            jnum(self.mtp_p99_ms),
-            jnum(self.min_fps_effective()),
-            jnum(self.mean_fps_effective()),
-            jnum(self.attributed_fraction()),
+            json_f64(self.mtp_p50_ms),
+            json_f64(self.mtp_p99_ms),
+            json_f64(self.min_fps_effective()),
+            json_f64(self.mean_fps_effective()),
+            json_f64(self.attributed_fraction()),
             total.sent,
             total.dropped,
             total.drops_queue_overflow,
@@ -1045,31 +788,6 @@ impl FleetReport {
         out.push_str("]}");
         out
     }
-}
-
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Exact percentile of a sample set (nearest-rank), deterministic for
@@ -1148,83 +866,22 @@ impl FleetSim {
     fn spawn_session(&mut self, spec_idx: usize, tick: usize) -> ActiveSession {
         let config = &self.config;
         let spec = &config.sessions[spec_idx];
-        let plan = plan_roi_window(&spec.device, 2, FULL_LR.width(), FULL_LR.height());
-        let roi_window = plan.scaled_to_canvas(config.lr_size.0, FULL_LR.width());
-        let byte_scale = config.canvas_to_full();
-        // consolidation needs the controller to actually reach small
-        // per-session shares, so open the quantizer range all the way down
-        let mut rate = RateControlConfig {
-            min_quality: 10,
-            ..RateControlConfig::for_bitrate_mbps(config.session_rate_mbps)
-        };
-        rate.target_bytes_per_frame =
-            ((rate.target_bytes_per_frame as f64 / byte_scale) as usize).max(1);
-        let server = GameStreamServer::new(ServerConfig {
-            game: spec.game,
-            lr_size: config.lr_size,
-            scale: 2,
-            encoder: EncoderConfig {
-                quality: config.encoder_quality,
-                gop_size: config.gop_size,
-                ..EncoderConfig::default()
-            },
-            detector: RoiDetectorConfig::default(),
-            roi_window,
-            time_stride: (FULL_LR.width() / config.lr_size.0.max(1)).max(1),
-            tracker: None,
-            rate_control: Some(rate),
-        });
-
-        let trace = TraceSink::new();
         let sampler = config.sampling.map(SamplingTraceSink::new);
-        let sink = match &sampler {
-            // The sampler tees off the same event stream; the full sink
-            // stays so attribution replay at finalize sees every frame.
-            Some(sampler) => SinkHandle::fanout(vec![
-                SinkHandle::new(trace.clone()),
-                SinkHandle::new(sampler.clone()),
-            ]),
-            None => SinkHandle::new(trace.clone()),
-        };
-        let rec = Recorder::new(
-            format!(
-                "fleet#{spec_idx} {:?} @ {} ({})",
-                spec.game, spec.device.name, config.link.name
-            ),
-            REALTIME_BUDGET_MS,
-        )
-        .with_sink(sink);
-
-        let mut controller = config.degradation.map(DegradationController::new);
-        let nack_cfg = config.degradation.unwrap_or_default();
-        let nack = NackManager::new(
-            nack_cfg.nack_timeout_frames,
-            nack_cfg.nack_backoff_max_frames,
+        let label = format!(
+            "fleet#{spec_idx} {:?} @ {} ({})",
+            spec.game, spec.device.name, config.link.name
         );
-
-        let mut session = ActiveSession {
+        let step = SessionStep::new(
+            &config.session_config(spec, sampler.as_ref()),
+            Pipeline::GameStreamSr,
+            label,
+        );
+        ActiveSession {
             spec_idx,
-            device: spec.device.clone(),
-            fault_plan: spec.fault_plan.clone(),
             joined_tick: tick,
-            flow: 0, // assigned below, after negotiation settles
-            frame: 0,
-            rec,
-            trace,
+            flow: self.link.add_flow(spec.fault_plan.clone()),
+            step,
             sampler,
-            slo: SloEngine::standard(REALTIME_BUDGET_MS),
-            pinned_rung: 0,
-            nack,
-            recovery: spec
-                .fault_plan
-                .has_decoder_crashes()
-                .then(|| RecoveryMachine::new(RecoveryConfig::default())),
-            base_side: plan.chosen_side,
-            active_side: plan.chosen_side,
-            active_cost: 1.0,
-            decode_pixels: 0,
-            alloc_scale: 1.0,
-            active_faults: Vec::new(),
             staged: None,
             error: None,
             frames_total: 0,
@@ -1244,43 +901,11 @@ impl FleetSim {
             starve: StarvationDetector::new(),
             alloc_track: Vec::new(),
             consumed_track: Vec::new(),
-            controller: None,
-            server: GameStreamServer::new(ServerConfig::new(spec.game, config.lr_size, roi_window)),
-        };
-        // capability negotiation (step 0), as in `run_session`
-        let negotiated = negotiate(&server.offer(), &spec.device.capabilities);
-        if negotiated.clamped {
-            session.rec.log(Level::Info, negotiated.describe());
         }
-        session.decode_pixels = negotiated.decode_pixels;
-        session.server = server;
-        session.controller = controller.take();
-        if negotiated.top_rung > 0 {
-            match &mut session.controller {
-                Some(ctl) => {
-                    if ctl.clamp_ceiling(negotiated.top_rung) {
-                        let rung = ctl.rung_params();
-                        session.apply_rung(&rung, config.lr_size);
-                    }
-                }
-                None => {
-                    session.pinned_rung = negotiated.top_rung;
-                    let rung = LADDER[negotiated.top_rung];
-                    session.apply_rung(&rung, config.lr_size);
-                }
-            }
-        }
-        session.flow = self.link.add_flow(spec.fault_plan.clone());
-        session
     }
 
     fn finalize_session(&mut self, mut s: ActiveSession, left_tick: usize) {
-        let telemetry = s.rec.finish();
-        let trace_sessions = s.trace.sessions();
-        let attribution = trace_sessions
-            .last()
-            .map(|sess| Attributor::new(REALTIME_BUDGET_MS).attribute(sess))
-            .unwrap_or_default();
+        let done = s.step.finish();
         if let Some(sampler) = s.sampler.take() {
             // Sampled mode: the full trace (and the full-resolution
             // per-session rate tracks) are dropped here — only the
@@ -1292,7 +917,7 @@ impl FleetSim {
                 sampler: Some(sampler),
                 tracks: Vec::new(),
             });
-        } else if let Some(sess) = trace_sessions.into_iter().last() {
+        } else if let Some(sess) = done.trace {
             self.traces.push(SessionTrace {
                 spec: s.spec_idx,
                 session: Some(sess),
@@ -1319,15 +944,15 @@ impl FleetSim {
             deadline_misses: s.deadline_misses,
             drops_decoder_down: s.drops_decoder_down,
             max_rung: s.max_rung,
-            telemetry,
-            slo: s.slo.summary(),
-            attribution,
+            telemetry: done.telemetry,
+            slo: done.slo,
+            attribution: done.attribution,
             flow: self.link.stats(s.flow),
-            recovery: s.recovery.map(RecoveryMachine::into_summary),
+            recovery: done.recovery,
         });
     }
 
-    /// Advances the fleet one 60 Hz tick through the five phases.
+    /// Advances the fleet one 60 Hz tick through the six phases.
     ///
     /// # Errors
     ///
@@ -1387,25 +1012,17 @@ impl FleetSim {
             self.server_factor = n.div_ceil(self.config.server_slots.max(1)) as f64;
             let share = self.config.budget_mbps() / n as f64;
             let alloc = (share / self.config.session_rate_mbps.max(1e-9)).min(1.0);
-            let lr_size = self.config.lr_size;
             let alloc_mbps = self.config.session_rate_mbps * alloc;
             for s in &mut self.active {
                 self.link.note_allocation(s.flow, alloc_mbps);
-                if (s.alloc_scale - alloc).abs() > 1e-12 {
-                    s.alloc_scale = alloc;
-                    let rung = s.current_rung();
-                    s.apply_rung(&rung, lr_size);
-                }
+                s.step.set_alloc_scale(alloc);
             }
         }
 
         // ---- phase 4: produce (parallel, per-session isolated) -----------
-        {
-            let config = &self.config;
-            config.pool.for_each_mut(&mut self.active, |_, s| {
-                s.produce(now_ms, config);
-            });
-        }
+        self.config
+            .pool
+            .for_each_mut(&mut self.active, |_, s| s.produce(now_ms));
         for s in &mut self.active {
             if let Some(e) = s.error.take() {
                 return Err(e);
@@ -1491,7 +1108,7 @@ impl FleetSim {
         let p99 = percentile(&mut crits, 0.99);
         let (mut burn_fast, mut burn_slow) = (0.0, 0.0);
         for s in &self.active {
-            if let Some((fast, slow)) = s.slo.current_burn("effective-fps") {
+            if let Some((fast, slow)) = s.step.slo().current_burn("effective-fps") {
                 burn_fast += fast;
                 burn_slow += slow;
             }

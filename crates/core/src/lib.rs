@@ -59,6 +59,7 @@ pub mod recovery;
 pub mod roi;
 pub mod server;
 pub mod session;
+mod step;
 
 pub use client::{ClientOutput, ClientTiming, GameStreamClient};
 pub use degrade::{

@@ -7,6 +7,16 @@
 //! the wire, energy per stage, and (optionally) PSNR/perceptual quality
 //! against the native render.
 //!
+//! # One step, two drivers
+//!
+//! The per-frame pipeline — faults, crash recovery, NACK, encode, the
+//! freeze and deadline verdicts, SLO and the degradation ladder — lives in
+//! the crate's shared session step, which the
+//! [`fleet`](crate::fleet) simulator drives too. [`run_session`] injects
+//! only what a lone session owns: its private [`Link`], the energy meter,
+//! and the pixel path (decode, upscale, quality metrics), which runs after
+//! the step lands a frame and before it closes it.
+//!
 //! # Canvas scaling
 //!
 //! The *data path* (render → codec → SR → metrics) may run on a reduced
@@ -18,25 +28,19 @@
 //! models, so latency/energy figures are canvas-independent.
 
 use crate::client::GameStreamClient;
-use crate::degrade::{
-    DegradationController, LadderRung, LadderStep, NackManager, NackSignal, LADDER,
-};
-use crate::mtp::{self, MtpBreakdown, FULL_LR};
-use crate::negotiate::negotiate;
+use crate::mtp::MtpBreakdown;
 use crate::nemo::NemoClient;
-use crate::recovery::{RecoveryConfig, RecoveryEvent, RecoveryMachine, RecoverySummary};
-use crate::roi::{plan_roi_window, RoiDetectorConfig};
-use crate::server::{GameStreamServer, ServerConfig};
+use crate::recovery::RecoverySummary;
+use crate::roi::RoiDetectorConfig;
+use crate::step::{InFlight, SessionStep};
 use crate::GssError;
-use gss_codec::{EncoderConfig, FrameType};
+use gss_codec::FrameType;
 use gss_frame::Frame;
 use gss_metrics::{perceptual_distance, psnr, region_weighted_psnr};
 use gss_net::{DropCause, FaultPlan, Link, LinkProfile};
-use gss_platform::{
-    DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, ServerModel, Stage, REALTIME_BUDGET_MS,
-};
+use gss_platform::{DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, ServerModel, Stage};
 use gss_render::GameId;
-use gss_telemetry::{Counter, Gauge, InstantKind, Level, Recorder, SinkHandle, TelemetrySummary};
+use gss_telemetry::{SinkHandle, TelemetrySummary};
 use serde::{Deserialize, Serialize};
 
 /// Which client pipeline a session runs.
@@ -202,17 +206,6 @@ impl SessionConfig {
         self.loss_recovery = true;
         self
     }
-
-    /// Factor rescaling coded byte counts measured on the canvas to
-    /// deployment scale. Coded size grows *sublinearly* with resolution at
-    /// fixed quality (detail density falls as resolution rises); the
-    /// exponent 0.835 was fitted to this codec's measured bits-per-pixel
-    /// across canvases from 128x72 to 1280x720 (see `examples/` history in
-    /// DESIGN.md), making byte volumes canvas-independent to within ~5%.
-    fn canvas_to_full(&self) -> f64 {
-        let ratio = FULL_LR.pixels() as f64 / (self.lr_size.0 * self.lr_size.1) as f64;
-        ratio.powf(0.835)
-    }
 }
 
 /// Per-frame measurements.
@@ -247,7 +240,8 @@ pub struct FrameRecord {
     /// overflow under congestion, or a scripted outage window.
     pub drop_cause: Option<DropCause>,
     /// Degradation-ladder rung in effect while this frame was processed
-    /// (0 = full quality; always 0 without a controller).
+    /// (0 = full quality). Without a controller this is the rung that
+    /// capability negotiation pinned the session to.
     pub rung: usize,
     /// Whether the client displayed a stale (frozen) frame because of loss
     /// recovery.
@@ -438,111 +432,6 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Applies one ladder rung's parameters to the live pipeline — the RoI
-/// window shipped to the server, the client's SR tier and the encoder's
-/// rate target — and returns the resulting (RoI side, SR cost ratio) pair
-/// at deployment scale. Shared by the degradation controller's regular
-/// steps, the negotiated capability clamp and the crash-recovery floor,
-/// so every path renegotiates the pipeline identically.
-fn apply_rung_params(
-    rung: &LadderRung,
-    config: &SessionConfig,
-    base_side: usize,
-    server: &mut GameStreamServer,
-    ours_client: &mut GameStreamClient,
-) -> (usize, f64) {
-    let active_side = rung.roi_side(&config.device, base_side);
-    let active_cost = rung.tier.map_or(1.0, |t| t.cost_ratio());
-    ours_client.set_model_tier(rung.tier);
-    server.set_rate_target_scale(rung.rate_scale);
-    // the server keeps detecting an RoI (coordinates still ship with
-    // every packet), so its window floors at 8 px even on the bilinear
-    // rung
-    let canvas_side = ((active_side * config.lr_size.0) / FULL_LR.width())
-        .max(8)
-        .min(config.lr_size.0.min(config.lr_size.1));
-    server.set_roi_window((canvas_side, canvas_side));
-    (active_side, active_cost)
-}
-
-/// Folds the recovery machine's transitions into the live session: a
-/// trace instant per event, crash/reconfigure counters, the ladder floor
-/// while the decoder is down, the permanent ceiling on safe-profile
-/// fallback, and a fresh NACK resync cycle the moment the machine starts
-/// waiting for its keyframe.
-#[allow(clippy::too_many_arguments)]
-fn apply_recovery_events(
-    events: &[RecoveryEvent],
-    send_time: f64,
-    config: &SessionConfig,
-    base_side: usize,
-    rec: &mut Recorder,
-    controller: &mut Option<DegradationController>,
-    server: &mut GameStreamServer,
-    ours_client: &mut GameStreamClient,
-    nack: &mut NackManager,
-    active_side: &mut usize,
-    active_cost: &mut f64,
-) {
-    for ev in events {
-        rec.instant(InstantKind::Recovery, send_time, ev.detail());
-        match ev {
-            RecoveryEvent::CrashDetected { .. } => {
-                rec.incr(Counter::DecoderCrashes);
-                rec.log(Level::Warn, ev.detail());
-                // graceful degradation: ride out the recovery on the
-                // bilinear floor; the controller climbs back with its
-                // usual hysteresis once frames flow again
-                if let Some(ctl) = controller.as_mut() {
-                    if ctl.force_rung(LADDER.len() - 1) {
-                        let (side, cost) = apply_rung_params(
-                            &ctl.rung_params(),
-                            config,
-                            base_side,
-                            server,
-                            ours_client,
-                        );
-                        *active_side = side;
-                        *active_cost = cost;
-                    }
-                }
-            }
-            RecoveryEvent::Reconfiguring { .. } => {
-                rec.incr(Counter::DecoderReconfigures);
-            }
-            RecoveryEvent::AwaitingKeyframe => {
-                // restart the NACK cycle from scratch: the machine needs a
-                // keyframe *now*, and any backoff accumulated while the
-                // decoder was down would only delay the resync
-                nack.on_keyframe_delivered();
-                nack.on_loss();
-            }
-            RecoveryEvent::AttemptFailed { .. } => {
-                rec.log(Level::Warn, ev.detail());
-            }
-            RecoveryEvent::SafeProfileFallback => {
-                rec.log(Level::Error, ev.detail());
-                if let Some(ctl) = controller.as_mut() {
-                    if ctl.clamp_ceiling(LADDER.len() - 1) {
-                        let (side, cost) = apply_rung_params(
-                            &ctl.rung_params(),
-                            config,
-                            base_side,
-                            server,
-                            ours_client,
-                        );
-                        *active_side = side;
-                        *active_cost = cost;
-                    }
-                }
-            }
-            RecoveryEvent::Recovered { .. } => {
-                rec.log(Level::Info, ev.detail());
-            }
-        }
-    }
-}
-
 /// Runs one session with one pipeline.
 ///
 /// # Errors
@@ -554,528 +443,117 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
     // thread: a concurrent session flipping the global worker knob must
     // not reconfigure this session's kernels mid-frame.
     let _pool = config.pool.bind();
-    let plan = plan_roi_window(
-        &config.device,
-        config.scale,
-        FULL_LR.width(),
-        FULL_LR.height(),
+    let label = format!(
+        "{} | {} | {}",
+        pipeline.label(),
+        config.device.name,
+        config.link.name
     );
-    let roi_window = plan.scaled_to_canvas(config.lr_size.0, FULL_LR.width());
-
-    let mut server = GameStreamServer::new(ServerConfig {
-        game: config.game,
-        lr_size: config.lr_size,
-        scale: config.scale,
-        encoder: EncoderConfig {
-            quality: config.encoder_quality,
-            gop_size: config.gop_size,
-            ..EncoderConfig::default()
-        },
-        detector: config.detector,
-        roi_window,
-        time_stride: (FULL_LR.width() / config.lr_size.0.max(1)).max(1),
-        tracker: config.tracker,
-        // the controller sees canvas-scale byte counts: rescale the
-        // deployment-scale target accordingly
-        rate_control: config.rate_control.map(|mut rc| {
-            rc.target_bytes_per_frame =
-                ((rc.target_bytes_per_frame as f64 / config.canvas_to_full()) as usize).max(1);
-            rc
-        }),
-    });
-
-    let mut ours_client = GameStreamClient::new(config.scale);
-    let mut nemo_client = NemoClient::new(config.scale);
+    let mut step = SessionStep::new(config, pipeline, label);
     let mut link = Link::with_faults(
         config.link.clone(),
         config.link_seed,
         config.fault_plan.clone(),
     );
     let mut meter = EnergyMeter::new(&config.device);
-    let byte_scale = config.canvas_to_full();
-
-    let mut rec = Recorder::new(
-        format!(
-            "{} | {} | {}",
-            pipeline.label(),
-            config.device.name,
-            config.link.name
-        ),
-        REALTIME_BUDGET_MS,
-    );
-    // an internal trace sink always rides along (tee'd with any
-    // user-supplied sink) so deadline-miss attribution can replay the
-    // session's causal span tree after the run
-    let trace = gss_telemetry::TraceSink::new();
-    let trace_handle = SinkHandle::new(trace.clone());
-    rec = rec.with_sink(match &config.telemetry {
-        Some(sink) => SinkHandle::new(gss_telemetry::MultiSink::new(vec![
-            sink.clone(),
-            trace_handle,
-        ])),
-        None => trace_handle,
-    });
-    // the SLO engine watches the same per-frame health bits the report
-    // exposes; breach transitions land in the trace as slo-breach markers
-    let mut slo = gss_telemetry::SloEngine::standard(REALTIME_BUDGET_MS);
-
-    let mut frames = Vec::with_capacity(config.frames);
-    // resilience state: the ladder controller adapts the GameStreamSR
-    // pipeline only; the NACK manager paces keyframe requests whenever
-    // loss recovery is on
-    let mut controller = match (pipeline, config.degradation) {
-        (Pipeline::GameStreamSr, Some(cfg)) => Some(DegradationController::new(cfg)),
-        _ => None,
-    };
-    let nack_cfg = config.degradation.unwrap_or_default();
-    let mut nack = NackManager::new(
-        nack_cfg.nack_timeout_frames,
-        nack_cfg.nack_backoff_max_frames,
-    );
-    let mut active_side = plan.chosen_side;
-    let mut active_cost = 1.0_f64;
-
-    // ---- capability negotiation (step 0) ---------------------------------
-    // the server's offer meets the client's capability set before the
-    // first frame. For the calibrated reference devices the result is the
-    // identity (their capabilities cover the whole offer), which keeps
-    // every pre-existing session byte-identical.
-    let negotiated = negotiate(&server.offer(), &config.device.capabilities);
-    if negotiated.clamped {
-        rec.log(Level::Info, negotiated.describe());
-    }
-    if pipeline == Pipeline::GameStreamSr && negotiated.top_rung > 0 {
-        match &mut controller {
-            // the controller may never climb above the negotiated rung
-            Some(ctl) => {
-                if ctl.clamp_ceiling(negotiated.top_rung) {
-                    let (side, cost) = apply_rung_params(
-                        &ctl.rung_params(),
-                        config,
-                        plan.chosen_side,
-                        &mut server,
-                        &mut ours_client,
-                    );
-                    active_side = side;
-                    active_cost = cost;
-                }
-            }
-            // no controller: pin the pipeline statically to the best rung
-            // the client's NPU supports
-            None => {
-                let (side, cost) = apply_rung_params(
-                    &LADDER[negotiated.top_rung],
-                    config,
-                    plan.chosen_side,
-                    &mut server,
-                    &mut ours_client,
-                );
-                active_side = side;
-                active_cost = cost;
-            }
-        }
-    }
-    // decoder crash recovery: the machine is armed only when the plan
-    // scripts a crash, and arming it implies loss recovery — a recovering
-    // decoder freezes the display and resyncs on a NACKed keyframe
-    let mut recovery = config
-        .fault_plan
-        .has_decoder_crashes()
-        .then(|| RecoveryMachine::new(RecoveryConfig::default()));
-    let loss_recovery = config.loss_recovery || recovery.is_some();
-
-    let mut active_faults: Vec<&'static str> = Vec::new();
+    let mut ours_client = GameStreamClient::new(config.scale);
+    let mut nemo_client = NemoClient::new(config.scale);
     let mut last_displayed: Option<Frame> = None;
+    let mut frames = Vec::with_capacity(config.frames);
     for i in 0..config.frames {
-        rec.begin_frame(i as u64);
         let send_time = i as f64 * 1000.0 / 60.0;
+        let (staged, packet) = step.open(send_time)?;
+        let uplink_ms = link.control_latency_ms();
+        let transfer = link.send_traced(staged.bytes, send_time, step.rec());
+        let mut frame = step.deliver(staged, uplink_ms, &transfer, 1.0);
+        charge_energy(&mut meter, pipeline, &frame);
 
-        // structured fault telemetry: one log event per active-set change
-        let faults_now = config.fault_plan.active_labels(send_time);
-        if faults_now != active_faults {
-            let msg = if faults_now.is_empty() {
-                "faults cleared".to_owned()
-            } else {
-                format!("faults active: {}", faults_now.join("+"))
-            };
-            rec.log(Level::Warn, msg.clone());
-            rec.instant(InstantKind::Fault, send_time, msg);
-            active_faults = faults_now;
-        }
-        let slowdown = config.fault_plan.npu_slowdown(send_time);
-        if slowdown > 1.0 {
-            rec.gauge(Gauge::NpuSlowdown, slowdown);
-        }
-        // ---- decoder crash recovery (frame open) --------------------------
-        // sample the crash signal at send time and walk the state machine;
-        // its transitions renegotiate the pipeline before this frame's
-        // packet is cut
-        if let Some(rm) = &mut recovery {
-            let events = rm.begin_frame(config.fault_plan.decoder_crashed(send_time));
-            apply_recovery_events(
-                &events,
-                send_time,
-                config,
-                plan.chosen_side,
-                &mut rec,
-                &mut controller,
-                &mut server,
-                &mut ours_client,
-                &mut nack,
-                &mut active_side,
-                &mut active_cost,
-            );
-            rec.gauge(Gauge::RecoveryState, rm.state().gauge_value());
-        }
-        let rung_now = controller.as_ref().map_or(0, |c| c.rung());
-        if controller.is_some() {
-            rec.gauge(Gauge::LadderRung, rung_now as f64);
-        }
-
-        if loss_recovery {
-            if let Some(signal) = nack.begin_frame() {
-                server.request_keyframe();
-                rec.incr(Counter::Nacks);
-                rec.instant(
-                    InstantKind::Nack,
-                    send_time,
-                    if signal == NackSignal::Retry {
-                        "keyframe re-request (retry)"
-                    } else {
-                        "keyframe request"
-                    },
-                );
-                if signal == NackSignal::Retry {
-                    rec.incr(Counter::NackRetries);
-                }
-            }
-        }
-        let packet = server.next_frame_traced(&mut rec)?;
-        let bytes_full = (packet.encoded.size_bytes() as f64 * byte_scale) as usize;
-
-        // ---- network ------------------------------------------------------
-        let input_uplink_ms = link.control_latency_ms();
-        let transfer = link.send_traced(bytes_full, send_time, &mut rec);
-        let (mut dropped, downlink_ms) = if transfer.delivered() {
-            (false, transfer.transit_ms)
-        } else {
-            // bound: the frame would have waited out the full queue
-            (true, config.link.queue_limit_ms + config.link.rtt_ms / 2.0)
-        };
-        let mut drop_cause = transfer.drop_cause;
-        // a delivered frame is still unusable while the decoder is down:
-        // the client discards it. The drop is charged to the decoder, not
-        // the link — a distinct cause in the counters and the stall ledger
-        if let Some(rm) = &recovery {
-            if !dropped && !rm.can_decode(packet.frame_type == FrameType::Intra) {
-                dropped = true;
-                drop_cause = Some(DropCause::DecoderDown);
-                rec.incr(Counter::FramesDropped);
-                rec.incr(Counter::DropsDecoderDown);
-                rec.instant(
-                    InstantKind::Drop,
-                    send_time,
-                    format!("frame dropped: {}", DropCause::DecoderDown.label()),
-                );
-            }
-        }
-        // a frame is unusable when it was dropped, or when it depends on a
-        // reference the client never received (judged before this frame's
-        // loss is folded into the NACK state)
-        let frozen = loss_recovery
-            && (dropped || (nack.awaiting() && packet.frame_type == FrameType::Inter));
-        if frozen {
-            rec.incr(Counter::FramesFrozen);
-        }
-        if loss_recovery {
-            if dropped {
-                nack.on_loss();
-            } else if packet.frame_type == FrameType::Intra {
-                nack.on_keyframe_delivered();
-            }
-        }
-        // ---- decoder crash recovery (frame close) -------------------------
-        // a keyframe that was delivered *and* decoded completes the resync;
-        // an expired keyframe window fails the attempt and re-reconfigures
-        if let Some(rm) = &mut recovery {
-            if frozen && rm.in_recovery() {
-                rm.note_frozen();
-            }
-            let keyframe_decoded = !dropped && !frozen && packet.frame_type == FrameType::Intra;
-            let events = rm.end_frame(keyframe_decoded);
-            apply_recovery_events(
-                &events,
-                send_time,
-                config,
-                plan.chosen_side,
-                &mut rec,
-                &mut controller,
-                &mut server,
-                &mut ours_client,
-                &mut nack,
-                &mut active_side,
-                &mut active_cost,
-            );
-        }
-        meter.add_network_bytes(bytes_full);
-
-        // ---- decode + upscale (modeled at deployment scale) ----------------
-        let stall_ms = config.fault_plan.decoder_stall_ms(send_time);
-        let (decode_ms, upscale) = if frozen {
-            // nothing to decode or upscale: the display repeats the last frame
-            (0.0, mtp::UpscaleTiming::default())
-        } else {
-            match pipeline {
-                Pipeline::GameStreamSr => {
-                    let decode = config.device.hw_decode_ms(negotiated.decode_pixels) + stall_ms;
-                    meter.add_busy(Stage::Decode, Rail::HwDecoder, decode);
-                    let t = mtp::ours_upscale_degraded(
-                        &config.device,
-                        active_side,
-                        active_cost,
-                        slowdown,
-                    );
-                    meter.add_busy(Stage::Upscale, Rail::Npu, t.npu_ms);
-                    meter.add_busy(Stage::Upscale, Rail::Gpu, t.gpu_ms + t.merge_ms);
-                    (decode, t)
-                }
-                Pipeline::Nemo => {
-                    let decode = config.device.sw_decode_ms(negotiated.decode_pixels) + stall_ms;
-                    meter.add_busy(Stage::Decode, Rail::CpuHeavy, decode);
-                    let t = match packet.frame_type {
-                        FrameType::Intra => {
-                            let t = mtp::sota_ref_upscale_throttled(&config.device, slowdown);
-                            meter.add_busy(Stage::Upscale, Rail::Npu, t.npu_ms);
-                            t
-                        }
-                        FrameType::Inter => {
-                            let t = mtp::sota_nonref_upscale(&config.device);
-                            meter.add_busy(Stage::Upscale, Rail::CpuLight, t.cpu_ms);
-                            t
-                        }
-                    };
-                    (decode, t)
-                }
-            }
-        };
-        meter.add_display_frame();
-
-        // ---- MTP assembly ---------------------------------------------------
-        let with_roi = pipeline == Pipeline::GameStreamSr;
-        let sm = &config.server_model;
-        let mtp_breakdown = MtpBreakdown {
-            input_uplink_ms,
-            engine_ms: sm.engine_tick_ms,
-            render_ms: sm.render_ms(FULL_LR),
-            roi_extra_ms: if with_roi {
-                (sm.roi_detect_ms(FULL_LR) - sm.encode_ms(FULL_LR)).max(0.0)
-            } else {
-                0.0
-            },
-            encode_ms: sm.encode_ms(FULL_LR),
-            downlink_ms,
-            decode_ms,
-            upscale_ms: upscale.critical_ms,
-            display_ms: config.device.display_present_ms,
-        };
-
-        // ---- telemetry spans on the session clock ---------------------------
-        // Anchor the frame's MTP timeline so its downlink segment coincides
-        // with the link span recorded at `send_time`: the controller input
-        // behind frame i left the client `server_side_ms` before the packet
-        // hit the wire.
-        let server_side_ms = input_uplink_ms
-            + mtp_breakdown.engine_ms
-            + mtp_breakdown.render_ms
-            + mtp_breakdown.roi_extra_ms
-            + mtp_breakdown.encode_ms;
-        let upscale_start = mtp_breakdown.record_spans(&mut rec, send_time - server_side_ms);
-        if with_roi {
-            // depth capture then RoI search, pipelined against the encode
-            // (the breakdown only carries their excess beyond the encode)
-            let render_end = send_time - mtp_breakdown.roi_extra_ms - mtp_breakdown.encode_ms;
-            let depth_ms = sm.depth_capture_ms(FULL_LR);
-            rec.record_span(gss_telemetry::Stage::DepthCapture, render_end, depth_ms);
-            rec.record_span(
-                gss_telemetry::Stage::RoiDetect,
-                render_end + depth_ms,
-                sm.roi_search_ms(FULL_LR),
-            );
-        }
-        upscale.record_spans(&mut rec, upscale_start);
-
-        // ---- data path + quality --------------------------------------------
-        let (psnr_db, foveated_psnr_db, perceptual) = if config.evaluate_quality {
-            let displayed: Option<Frame> = if frozen {
+        // ---- data path + quality (between deliver and seal, so the
+        // client's counters land inside the frame) ------------------------
+        if config.evaluate_quality {
+            let displayed = if frame.record.frozen {
                 last_displayed.clone()
             } else {
-                let out: Frame = match pipeline {
+                Some(match pipeline {
                     Pipeline::GameStreamSr => {
+                        ours_client.set_model_tier(step.sr_tier());
                         ours_client
-                            .process_traced(&packet.encoded, packet.roi, &mut rec)?
+                            .process_traced(&packet.encoded, packet.roi, step.rec())?
                             .frame
                     }
-                    Pipeline::Nemo => nemo_client.process_traced(&packet.encoded, &mut rec)?.frame,
-                };
-                Some(out)
+                    Pipeline::Nemo => {
+                        nemo_client
+                            .process_traced(&packet.encoded, step.rec())?
+                            .frame
+                    }
+                })
             };
+            // scoring `displayed` while `last_displayed` holds a copy looks
+            // redundant, but it fixes the order of the HR frame allocations:
+            // scoring from `last_displayed` alone measured ~12% lower peak
+            // RSS for GameStreamSR and ~11% higher for NEMO (perfbench,
+            // glibc malloc with one arena)
             last_displayed = displayed.clone();
-            match displayed {
-                Some(out) => {
-                    let (hw, hh) = packet.ground_truth_hr.size();
-                    // the shipped RoI is even-aligned at lr scale; keep the
-                    // HR evaluation window on even luma coordinates too so
-                    // the weighted-PSNR region matches what a 4:2:0 merge
-                    // actually touched
-                    let roi_hr = packet
-                        .roi
-                        .scaled(config.scale)
-                        .aligned_even()
-                        .clamp_to(hw, hh);
-                    (
-                        Some(psnr(&packet.ground_truth_hr, &out)?),
-                        Some(region_weighted_psnr(
-                            &packet.ground_truth_hr,
-                            &out,
-                            roi_hr,
-                            4.0,
-                        )?),
-                        Some(perceptual_distance(&packet.ground_truth_hr, &out)?),
-                    )
-                }
-                // nothing was ever displayed (loss before the first frame)
-                None => (None, None, None),
-            }
-        } else {
-            (None, None, None)
-        };
-
-        // the recorder judges the same per-frame critical path the report
-        // exposes, so its miss count is consistent with the FrameRecords by
-        // construction (end_frame closes the frame for the trace sink, so
-        // the miss marker must be emitted first, with the same predicate)
-        let met_now = gss_telemetry::deadline_met(upscale.critical_ms, rec.budget_ms());
-        if !met_now {
-            rec.instant(
-                InstantKind::DeadlineMiss,
-                upscale_start + upscale.critical_ms,
-                format!(
-                    "critical path {:.2} ms > budget {:.2} ms",
-                    upscale.critical_ms,
-                    rec.budget_ms()
-                ),
-            );
-        }
-        // SLO burn rates see the same health bits; breach transitions must
-        // also land before end_frame so they attach to this frame's trace
-        for ev in slo.observe(&gss_telemetry::FrameHealth {
-            critical_ms: upscale.critical_ms,
-            deadline_met: met_now,
-            frozen,
-        }) {
-            rec.instant(
-                InstantKind::SloBreach,
-                send_time - server_side_ms + mtp_breakdown.total_ms(),
-                ev.detail,
-            );
-        }
-        let deadline_met = rec
-            .end_frame(
-                mtp_breakdown.total_ms(),
-                upscale.critical_ms,
-                bytes_full as u64,
-            )
-            .expect("session records one-shot spans only; none can be left open");
-
-        frames.push(FrameRecord {
-            index: i,
-            frame_type: packet.frame_type,
-            upscale_ms: upscale.critical_ms,
-            upscale_npu_ms: upscale.npu_ms,
-            upscale_gpu_ms: upscale.gpu_ms,
-            upscale_merge_ms: upscale.merge_ms,
-            decode_ms,
-            mtp: mtp_breakdown,
-            bytes: bytes_full,
-            dropped,
-            drop_cause,
-            rung: rung_now,
-            frozen,
-            deadline_met,
-            psnr_db,
-            foveated_psnr_db,
-            perceptual,
-        });
-
-        // ---- adaptation ----------------------------------------------------
-        // the controller sees this frame's health and renegotiates the
-        // pipeline (RoI window, SR tier, rate target) for the next frame
-        if let Some(ctl) = &mut controller {
-            if let Some(step) = ctl.observe(dropped || !deadline_met) {
-                let rung = ctl.rung_params();
-                rec.incr(match step {
-                    LadderStep::Downgrade => Counter::LadderDowngrades,
-                    LadderStep::Upgrade => Counter::LadderUpgrades,
-                });
-                let (side, cost) = apply_rung_params(
-                    &rung,
-                    config,
-                    plan.chosen_side,
-                    &mut server,
-                    &mut ours_client,
-                );
-                active_side = side;
-                active_cost = cost;
-                let shift_msg = format!(
-                    "ladder {}: rung {} -> {} ({}, roi {} px, rate x{:.2})",
-                    match step {
-                        LadderStep::Downgrade => "down",
-                        LadderStep::Upgrade => "up",
-                    },
-                    rung_now,
-                    ctl.rung(),
-                    rung.tier_label(),
-                    active_side,
-                    rung.rate_scale
-                );
-                rec.log(
-                    match step {
-                        LadderStep::Downgrade => Level::Warn,
-                        LadderStep::Upgrade => Level::Info,
-                    },
-                    shift_msg.clone(),
-                );
-                // the controller decides after the frame completes; the
-                // trace sink attaches this post-frame instant to the frame
-                // that was just closed
-                rec.instant(
-                    InstantKind::LadderShift,
-                    send_time - server_side_ms + mtp_breakdown.total_ms(),
-                    shift_msg,
-                );
+            // nothing is scored before the first displayed frame
+            if let Some(out) = &displayed {
+                let truth = &packet.ground_truth_hr;
+                let (hw, hh) = truth.size();
+                // the shipped RoI is even-aligned at lr scale; keep the HR
+                // evaluation window on even luma coordinates too so the
+                // weighted-PSNR region matches what a 4:2:0 merge touched
+                let roi_hr = packet
+                    .roi
+                    .scaled(config.scale)
+                    .aligned_even()
+                    .clamp_to(hw, hh);
+                let record = &mut frame.record;
+                record.psnr_db = Some(psnr(truth, out)?);
+                record.foveated_psnr_db = Some(region_weighted_psnr(truth, out, roi_hr, 4.0)?);
+                record.perceptual = Some(perceptual_distance(truth, out)?);
             }
         }
+
+        step.seal(&mut frame);
+        step.adapt(&frame);
+        frames.push(frame.record);
     }
 
-    let telemetry = rec.finish();
-    // finish() closed the session for the sinks; replay the completed
-    // causal trace and attribute every miss and stall
-    let attribution = trace
-        .sessions()
-        .last()
-        .map(|s| gss_telemetry::Attributor::new(REALTIME_BUDGET_MS).attribute(s))
-        .unwrap_or_default();
+    let done = step.finish();
     Ok(SessionReport {
         pipeline,
         game: config.game,
         device: config.device.name.to_owned(),
         frames,
         energy: meter.breakdown(),
-        telemetry,
-        attribution,
-        slo: slo.summary(),
-        recovery: recovery.map(RecoveryMachine::into_summary),
+        telemetry: done.telemetry,
+        attribution: done.attribution,
+        slo: done.slo,
+        recovery: done.recovery,
     })
+}
+
+/// Charges one frame to the energy meter: the radio always, the decode and
+/// upscale rails only when the frame was not frozen.
+fn charge_energy(meter: &mut EnergyMeter, pipeline: Pipeline, frame: &InFlight) {
+    let (f, t) = (&frame.record, &frame.upscale);
+    meter.add_network_bytes(f.bytes);
+    if !f.frozen {
+        match pipeline {
+            Pipeline::GameStreamSr => {
+                meter.add_busy(Stage::Decode, Rail::HwDecoder, f.decode_ms);
+                meter.add_busy(Stage::Upscale, Rail::Npu, t.npu_ms);
+                meter.add_busy(Stage::Upscale, Rail::Gpu, t.gpu_ms + t.merge_ms);
+            }
+            Pipeline::Nemo => {
+                meter.add_busy(Stage::Decode, Rail::CpuHeavy, f.decode_ms);
+                match f.frame_type {
+                    FrameType::Intra => meter.add_busy(Stage::Upscale, Rail::Npu, t.npu_ms),
+                    FrameType::Inter => meter.add_busy(Stage::Upscale, Rail::CpuLight, t.cpu_ms),
+                }
+            }
+        }
+    }
+    meter.add_display_frame();
 }
 
 /// Paired run of both pipelines on identical streams/channels.
@@ -1152,6 +630,8 @@ impl ComparisonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degrade::LADDER;
+    use gss_telemetry::Counter;
 
     fn tiny_config() -> SessionConfig {
         SessionConfig {
@@ -1461,6 +941,21 @@ mod tests {
             honest.mean_upscale_ms_all(),
             lying.mean_upscale_ms_all()
         );
+        // without a controller every honest frame reports the rung that
+        // negotiation pinned, as a one-session fleet does
+        let offer = crate::negotiate::StreamOffer {
+            lr_size: (128, 72),
+            scale_factor: 2,
+            decode_pixels: crate::mtp::FULL_LR.pixels(),
+            codec_profile: gss_platform::CodecProfile::High,
+        };
+        let top =
+            crate::negotiate::negotiate(&offer, &DeviceProfile::tier_low().capabilities).top_rung;
+        assert!(top > 0, "the weak tier must be clamped");
+        for f in &honest.frames {
+            assert_eq!(f.rung, top, "frame {} reports the wrong rung", f.index);
+        }
+        assert_eq!(lying.max_rung(), 0);
         // flagship reference devices negotiate the identity — nothing in
         // their session may change (guards byte-compat of old baselines)
         let s8 = run(DeviceProfile::s8_tab());

@@ -27,7 +27,7 @@
 //! same session is byte-identical across reruns and worker counts.
 
 use crate::hist::{DistSummary, Histogram};
-use crate::sink::{json_escape, json_f64};
+use crate::json::{json_escape, json_f64};
 use crate::summary::dist_json;
 use crate::trace::{TraceFrame, TraceSession, UPSCALE_SPAN};
 use crate::{InstantKind, Stage};

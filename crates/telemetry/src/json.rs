@@ -1,11 +1,12 @@
-//! A minimal recursive-descent JSON parser.
+//! Deterministic JSON writers and a minimal recursive-descent parser.
 //!
 //! The workspace serializes JSON by hand (deterministic string building in
 //! [`crate::TelemetrySummary::to_json`], the JSONL sink, the Chrome trace
-//! exporter) but until now had no way to read it back. The benchmark
+//! exporter, the fleet and benchmark reports); every writer escapes strings
+//! with [`json_escape`] and renders numbers with [`json_f64`]. The benchmark
 //! regression gate needs to parse committed `BENCH_*.json` baselines, and
 //! the trace schema test needs to validate exporter output, so this module
-//! provides a small self-contained parser — the workspace deliberately
+//! also provides a small self-contained parser — the workspace deliberately
 //! vendors no `serde_json`.
 //!
 //! Scope: full JSON per RFC 8259 minus two relaxations that match our own
@@ -337,9 +338,43 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Escapes `s` for inclusion inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Formats an `f64` for JSON: finite values via `{}` (shortest round-trip
+/// form, deterministic), non-finite values as `null`.
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_owned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn control_characters_use_unicode_escapes() {
+        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
+    }
 
     #[test]
     fn parses_scalars() {

@@ -14,8 +14,8 @@
 
 use crate::attribution::SessionAttribution;
 use crate::hist::Exemplar;
+use crate::json::json_f64;
 use crate::sampling::SessionExemplars;
-use crate::sink::json_f64;
 use crate::slo::SloSummary;
 use crate::summary::TelemetrySummary;
 use crate::timeseries::SeriesSet;

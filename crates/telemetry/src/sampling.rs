@@ -42,7 +42,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{Exemplar, Histogram};
-use crate::sink::{json_f64, Event, Sink};
+use crate::json::json_f64;
+use crate::sink::{Event, Sink};
 use crate::trace::{build_frame, chrome_trace_json_ext, CounterTrack, OpenFrame, TraceSession};
 use crate::trace::{TraceFrame, TraceInstant};
 use crate::Stage;

@@ -14,6 +14,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::json::{json_escape, json_f64};
 use crate::{Counter, Gauge, Stage};
 
 /// Severity of a [`Event::Log`] message.
@@ -169,35 +170,6 @@ pub enum Event {
         /// Frames whose motion-to-photon latency exceeded the budget.
         deadline_misses: u64,
     },
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` for JSON: finite values via `{}` (shortest round-trip
-/// form, deterministic), non-finite values as `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 impl Event {
@@ -492,11 +464,6 @@ mod tests {
             "{json}"
         );
         assert!(!json.contains('\n'));
-    }
-
-    #[test]
-    fn control_characters_use_unicode_escapes() {
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
     }
 
     #[test]

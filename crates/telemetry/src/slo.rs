@@ -18,7 +18,7 @@
 //!
 //! [`InstantKind::SloBreach`]: crate::InstantKind::SloBreach
 
-use crate::sink::{json_escape, json_f64};
+use crate::json::{json_escape, json_f64};
 
 /// Default fast-window length, frames (1 s at 60 FPS).
 pub const FAST_WINDOW_FRAMES: usize = 60;

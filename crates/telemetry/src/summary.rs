@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use crate::hist::DistSummary;
-use crate::sink::{json_escape, json_f64};
+use crate::json::{json_escape, json_f64};
 use crate::{Counter, Gauge, GaugeStat, Stage};
 
 /// Latency distribution of one pipeline stage.

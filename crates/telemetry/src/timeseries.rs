@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use crate::sink::{json_escape, json_f64};
+use crate::json::{json_escape, json_f64};
 
 /// Default bucket capacity used by the fleet's series set.
 pub const DEFAULT_CAPACITY: usize = 240;

@@ -38,7 +38,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::sink::{json_escape, json_f64, Event, InstantKind, Sink};
+use crate::json::{json_escape, json_f64};
+use crate::sink::{Event, InstantKind, Sink};
 use crate::Stage;
 
 /// Human-readable lane names, indexed by Chrome `tid`.

@@ -1,8 +1,12 @@
 //! Fleet-simulator contract tests: bit-determinism at any worker count,
-//! join/leave churn soaks, one-session decoder-crash isolation, and the
-//! deadline-miss attribution floor.
+//! join/leave churn soaks, one-session decoder-crash isolation, the
+//! deadline-miss attribution floor, and the one-session differential
+//! against `run_session`.
 
+use gamestreamsr::degrade::DegradationConfig;
 use gamestreamsr::fleet::{AdmissionPolicy, FleetConfig, FleetReport, FleetSessionSpec, FleetSim};
+use gamestreamsr::session::{run_session, Pipeline, SessionConfig};
+use gss_codec::RateControlConfig;
 use gss_net::{FaultEvent, FaultKind, FaultPlan, LinkProfile};
 use gss_platform::pool::PoolHandle;
 use gss_platform::DeviceProfile;
@@ -208,4 +212,95 @@ fn decoder_crash_storm_stays_inside_its_session() {
         "crash-storm attribution below the 95% floor: {:.3}",
         report.attributed_fraction()
     );
+}
+
+/// Drops the `"label":"…",` member: the two drivers name their recorders
+/// differently, and that is the only field allowed to differ.
+fn without_label(json: &str) -> String {
+    let Some(start) = json.find("\"label\":\"") else {
+        return json.to_owned();
+    };
+    let value = start + "\"label\":\"".len();
+    let end = value + json[value..].find('"').expect("label string closes");
+    let cut = if json[end + 1..].starts_with(',') {
+        end + 2
+    } else {
+        end + 1
+    };
+    format!("{}{}", &json[..start], &json[cut..])
+}
+
+/// A fleet of one session on an uncontended fiber link reproduces
+/// `run_session` configured the same way: the allocator never caps the
+/// rate, the server slot is never shared, and both drivers run the same
+/// per-frame step.
+#[test]
+fn one_session_fleet_reproduces_run_session() {
+    let ticks = 60;
+    let seed = 0x51de;
+    let crash = FaultPlan::new(vec![FaultEvent {
+        start_ms: 300.0,
+        end_ms: 450.0,
+        kind: FaultKind::DecoderCrash,
+    }]);
+    let cases = [
+        (GameId::G3, DeviceProfile::s8_tab(), FaultPlan::default()),
+        (
+            GameId::G1,
+            DeviceProfile::pixel7_pro(),
+            FaultPlan::default(),
+        ),
+        (GameId::G2, DeviceProfile::s8_tab(), crash),
+    ];
+    for (game, device, faults) in cases {
+        let crashes = faults.has_decoder_crashes();
+        let mut fleet = FleetConfig::new(LinkProfile::fiber(), seed).with_ticks(ticks);
+        fleet.session_rate_mbps = 18.0;
+        let fleet = fleet
+            .with_session(FleetSessionSpec::new(game, device.clone()).with_faults(faults.clone()));
+        let session = SessionConfig {
+            link: LinkProfile::fiber(),
+            link_seed: seed,
+            frames: ticks,
+            gop_size: fleet.gop_size,
+            lr_size: fleet.lr_size,
+            encoder_quality: fleet.encoder_quality,
+            rate_control: Some(RateControlConfig {
+                min_quality: 10,
+                ..RateControlConfig::for_bitrate_mbps(18.0)
+            }),
+            ..SessionConfig::new(game, device)
+        }
+        .without_quality()
+        .with_faults(faults)
+        .with_degradation(DegradationConfig::default());
+
+        let report = FleetSim::new(fleet).run_until_idle().expect("fleet");
+        let fs = &report.sessions[0];
+        let rs = run_session(&session, Pipeline::GameStreamSr).expect("session");
+        let case = format!("{game:?} @ {}", fs.label);
+        assert_eq!(
+            without_label(&fs.telemetry.to_json()),
+            without_label(&rs.telemetry.to_json()),
+            "{case}: telemetry"
+        );
+        assert_eq!(fs.slo.to_json(), rs.slo.to_json(), "{case}: SLO");
+        assert_eq!(
+            without_label(&fs.attribution.to_json()),
+            without_label(&rs.attribution.to_json()),
+            "{case}: attribution"
+        );
+        assert_eq!(fs.recovery, rs.recovery, "{case}: recovery");
+        let frozen = rs.frames.iter().filter(|f| f.frozen).count() as u64;
+        let misses = rs.frames.iter().filter(|f| !f.deadline_met).count() as u64;
+        assert_eq!(
+            (fs.frames_frozen, fs.deadline_misses, fs.max_rung),
+            (frozen, misses, rs.max_rung()),
+            "{case}: frozen / miss / max-rung tallies"
+        );
+        assert!(
+            !crashes || frozen > 0,
+            "{case}: the crash window froze nothing"
+        );
+    }
 }
