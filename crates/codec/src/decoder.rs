@@ -93,25 +93,6 @@ impl Decoder {
         }
     }
 
-    /// [`Decoder::decode`] plus telemetry: bumps `FramesReconstructed` for
-    /// inter packets (frames rebuilt from motion + residual against the
-    /// reference). The output is identical to an untraced decode.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decoder::decode`].
-    pub fn decode_traced(
-        &mut self,
-        packet: &EncodedFrame,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Result<DecodedFrame, CodecError> {
-        let decoded = self.decode(packet)?;
-        if packet.frame_type == FrameType::Inter {
-            rec.incr(gss_telemetry::Counter::FramesReconstructed);
-        }
-        Ok(decoded)
-    }
-
     /// The decoder's current reference frame, if any.
     pub fn reference(&self) -> Option<&Frame> {
         self.reference.as_ref()

@@ -97,10 +97,6 @@ pub struct Encoder {
     config: EncoderConfig,
     reference: Option<Frame>,
     frame_count: u64,
-    /// Set by [`Encoder::request_keyframe`], consumed by the next intra
-    /// encode; distinguishes loss-recovery keyframes from GOP boundaries
-    /// and resolution changes in the telemetry.
-    forced_pending: bool,
 }
 
 impl Encoder {
@@ -122,7 +118,6 @@ impl Encoder {
             config,
             reference: None,
             frame_count: 0,
-            forced_pending: false,
         }
     }
 
@@ -140,7 +135,6 @@ impl Encoder {
     /// packet loss).
     pub fn request_keyframe(&mut self) {
         self.reference = None;
-        self.forced_pending = true;
     }
 
     /// Adjusts the quantizers mid-stream (rate control); takes effect from
@@ -183,33 +177,10 @@ impl Encoder {
         let intra = self.next_is_keyframe();
         self.frame_count += 1;
         if intra {
-            self.forced_pending = false;
             self.encode_intra(frame, sequence)
         } else {
             self.encode_inter(frame, sequence)
         }
-    }
-
-    /// [`Encoder::encode`] plus telemetry: bumps `FramesEncoded`, and
-    /// `KeyframesForced` when the keyframe was requested via
-    /// [`Encoder::request_keyframe`] (loss recovery) rather than falling on
-    /// a GOP boundary. The bitstream is identical to an untraced encode.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Encoder::encode`].
-    pub fn encode_traced(
-        &mut self,
-        frame: &Frame,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Result<EncodedFrame, CodecError> {
-        let forced = self.forced_pending;
-        let packet = self.encode(frame)?;
-        rec.incr(gss_telemetry::Counter::FramesEncoded);
-        if forced && packet.frame_type == FrameType::Intra {
-            rec.incr(gss_telemetry::Counter::KeyframesForced);
-        }
-        Ok(packet)
     }
 
     fn quant(&self) -> QuantSelection {
@@ -391,38 +362,6 @@ mod tests {
         assert_eq!(enc.encode(&f).unwrap().frame_type, FrameType::Inter);
         enc.request_keyframe();
         assert_eq!(enc.encode(&f).unwrap().frame_type, FrameType::Intra);
-    }
-
-    #[test]
-    fn traced_encode_counts_frames_and_forced_keyframes() {
-        use gss_telemetry::{Counter, Recorder};
-        let mut enc = Encoder::new(EncoderConfig {
-            gop_size: 1000,
-            ..EncoderConfig::default()
-        });
-        let mut rec = Recorder::new("codec-test", 16.67);
-        let f = textured_frame(32, 32, 0.0);
-        enc.encode_traced(&f, &mut rec).unwrap(); // natural GOP-start intra
-        enc.encode_traced(&f, &mut rec).unwrap(); // inter
-        enc.request_keyframe();
-        enc.encode_traced(&f, &mut rec).unwrap(); // forced intra
-        assert_eq!(rec.counter(Counter::FramesEncoded), 3);
-        assert_eq!(rec.counter(Counter::KeyframesForced), 1);
-    }
-
-    #[test]
-    fn traced_encode_matches_untraced_bitstream() {
-        use gss_telemetry::Recorder;
-        let mut plain = Encoder::new(EncoderConfig::default());
-        let mut traced = Encoder::new(EncoderConfig::default());
-        let mut rec = Recorder::new("codec-test", 16.67);
-        for t in 0..4 {
-            let f = textured_frame(32, 32, t as f32 * 0.1);
-            assert_eq!(
-                plain.encode(&f).unwrap(),
-                traced.encode_traced(&f, &mut rec).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -87,13 +87,15 @@ impl RateController {
     /// controller was constructed with. The degradation controller uses
     /// this to cut the stream's bitrate while the channel is collapsed and
     /// to restore it afterwards (`scale = 1.0`); the controller's integral
-    /// state is preserved so the quantizers glide rather than jump.
+    /// state is preserved so the quantizers glide rather than jump. A zero
+    /// scale (a fleet share of nothing) pins the budget at its one-byte
+    /// floor.
     ///
     /// # Panics
     ///
-    /// Panics when `scale` is not positive.
+    /// Panics when `scale` is negative or NaN.
     pub fn set_target_scale(&mut self, scale: f64) {
-        assert!(scale > 0.0, "target scale must be positive");
+        assert!(scale >= 0.0, "target scale must be non-negative");
         self.config.target_bytes_per_frame =
             ((self.base_target_bytes as f64 * scale) as usize).max(1);
     }
@@ -116,24 +118,6 @@ impl RateController {
         self.residual_step = (self.residual_step + step * 0.45).clamp(
             self.config.min_residual_step as f64,
             self.config.max_residual_step as f64,
-        );
-    }
-
-    /// [`RateController::observe`] plus telemetry: reports the resulting
-    /// quantizer decisions as `EncodeQuality` / `EncodeResidualStep` gauges.
-    /// The control trajectory is identical to an untraced observation.
-    pub fn observe_traced(
-        &mut self,
-        bytes: usize,
-        was_intra: bool,
-        rec: &mut gss_telemetry::Recorder,
-    ) {
-        self.observe(bytes, was_intra);
-        let (quality, residual_step) = self.quantizers();
-        rec.gauge(gss_telemetry::Gauge::EncodeQuality, quality as f64);
-        rec.gauge(
-            gss_telemetry::Gauge::EncodeResidualStep,
-            residual_step as f64,
         );
     }
 
@@ -251,29 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_observation_matches_untraced_and_gauges_decisions() {
-        use gss_telemetry::{Gauge, Recorder};
-        let cfg = RateControlConfig::for_bitrate_mbps(5.0);
-        let mut plain = RateController::new(cfg, &EncoderConfig::default());
-        let mut traced = RateController::new(cfg, &EncoderConfig::default());
-        let mut rec = Recorder::new("rc-test", 16.67);
-        for i in 0..20 {
-            let bytes = 4000 + i * 500;
-            plain.observe(bytes, false);
-            traced.observe_traced(bytes, false, &mut rec);
-            assert_eq!(plain.quantizers(), traced.quantizers());
-        }
-        let s = rec.summary();
-        let quality = s.gauge(Gauge::EncodeQuality).expect("quality gauged");
-        assert_eq!(quality.count, 20);
-        assert_eq!(quality.last, traced.quantizers().0 as f64);
-        assert_eq!(
-            s.gauge(Gauge::EncodeResidualStep).unwrap().last,
-            traced.quantizers().1 as f64
-        );
-    }
-
-    #[test]
     fn intra_frames_get_headroom() {
         let cfg = RateControlConfig::for_bitrate_mbps(5.0);
         let mut a = RateController::new(cfg, &EncoderConfig::default());
@@ -301,6 +262,9 @@ mod tests {
             full.observe(base, false);
         }
         assert!(rc.quantizers().0 < full.quantizers().0);
+        // a zero scale floors the budget at one byte
+        rc.set_target_scale(0.0);
+        assert_eq!(rc.config().target_bytes_per_frame, 1);
         // restoring the scale restores the original budget exactly
         rc.set_target_scale(1.0);
         assert_eq!(rc.config().target_bytes_per_frame, base);

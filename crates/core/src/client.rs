@@ -109,26 +109,6 @@ impl GameStreamClient {
         Ok(self.upscale(&decoded.frame, roi))
     }
 
-    /// [`GameStreamClient::process`] plus telemetry: bumps the
-    /// `FramesUpscaled` counter and lets the (black-box) decoder count
-    /// reconstructed inter frames. Modeled stage *timings* are recorded by
-    /// the session from the platform model, not here — the client only
-    /// moves pixels. The output is identical to an untraced call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GameStreamClient::process`].
-    pub fn process_traced(
-        &mut self,
-        packet: &EncodedFrame,
-        roi: Rect,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Result<ClientOutput, GssError> {
-        let decoded = self.decoder.decode_traced(packet, rec)?;
-        rec.incr(gss_telemetry::Counter::FramesUpscaled);
-        Ok(self.upscale(&decoded.frame, roi))
-    }
-
     /// The RoI-assisted upscale on an already-decoded frame: DNN SR inside
     /// `roi`, bilinear everywhere else, merged. The two paths run on
     /// separate threads like the paper's NPU ∥ GPU split. On the

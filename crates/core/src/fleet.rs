@@ -334,10 +334,14 @@ impl ActiveSession {
             return;
         };
         let uplink_ms = link.control_latency_ms(self.flow);
-        let transfer = link.send_traced(self.flow, staged.bytes, now_ms, self.step.rec());
-        let mut frame = self
-            .step
-            .deliver(staged, uplink_ms, &transfer, server_factor);
+        let transfer = link.send(self.flow, staged.bytes, now_ms);
+        let mut frame = self.step.deliver(
+            staged,
+            uplink_ms,
+            &transfer,
+            link.effective_mbps(),
+            server_factor,
+        );
         self.step.seal(&mut frame);
 
         let f = &frame.record;

@@ -108,28 +108,6 @@ impl NemoClient {
         }
     }
 
-    /// [`NemoClient::process`] plus telemetry: the software decoder counts
-    /// reconstructed inter frames (NEMO's defining cost — it is the reason
-    /// the baseline cannot use the hardware decoder), and reference frames
-    /// count as full-frame upscales. The output is identical to an
-    /// untraced call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NemoClient::process`].
-    pub fn process_traced(
-        &mut self,
-        packet: &EncodedFrame,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Result<NemoOutput, GssError> {
-        let out = self.process(packet)?;
-        match out.frame_type {
-            FrameType::Intra => rec.incr(gss_telemetry::Counter::FramesUpscaled),
-            FrameType::Inter => rec.incr(gss_telemetry::Counter::FramesReconstructed),
-        }
-        Ok(out)
-    }
-
     /// NEMO's non-reference reconstruction: upscale the motion vectors by
     /// the scale factor, motion-compensate the previous *high-resolution*
     /// frame, and add the bilinearly-upscaled residual.

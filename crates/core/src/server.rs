@@ -217,6 +217,14 @@ impl GameStreamServer {
         }
     }
 
+    /// The rate controller's `(intra quality, residual step)` for the next
+    /// frame; `None` without rate control.
+    pub(crate) fn rate_quantizers(&self) -> Option<(u8, u16)> {
+        self.rate_controller
+            .as_ref()
+            .map(RateController::quantizers)
+    }
+
     /// Renders, detects, encodes and returns the next frame of the
     /// session.
     ///
@@ -224,28 +232,6 @@ impl GameStreamServer {
     ///
     /// Propagates codec errors.
     pub fn next_frame(&mut self) -> Result<ServerPacket, GssError> {
-        self.next_frame_inner(None)
-    }
-
-    /// [`GameStreamServer::next_frame`] plus telemetry: the codec counts
-    /// encoded frames and forced keyframes, the rate controller gauges its
-    /// quantizer decisions, and the selected RoI area is gauged per frame.
-    /// The emitted packet is identical to an untraced call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec errors.
-    pub fn next_frame_traced(
-        &mut self,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Result<ServerPacket, GssError> {
-        self.next_frame_inner(Some(rec))
-    }
-
-    fn next_frame_inner(
-        &mut self,
-        mut rec: Option<&mut gss_telemetry::Recorder>,
-    ) -> Result<ServerPacket, GssError> {
         let index = self.frame_index;
         self.frame_index += 1;
         let (lw, lh) = self.config.lr_size;
@@ -273,23 +259,10 @@ impl GameStreamServer {
         // merged — snap the origin down to even luma coordinates, which
         // keeps the rect inside the frame and preserves its extent.
         let roi = Rect::new(roi.x & !1, roi.y & !1, roi.width, roi.height);
-        if let Some(rec) = rec.as_deref_mut() {
-            rec.gauge(
-                gss_telemetry::Gauge::RoiAreaPx,
-                (roi.width * roi.height) as f64,
-            );
-        }
-        let encoded = match rec.as_deref_mut() {
-            Some(rec) => self.encoder.encode_traced(&lr, rec)?,
-            None => self.encoder.encode(&lr)?,
-        };
+        let encoded = self.encoder.encode(&lr)?;
         let frame_type = encoded.frame_type;
         if let Some(rc) = &mut self.rate_controller {
-            let intra = frame_type == FrameType::Intra;
-            match rec {
-                Some(rec) => rc.observe_traced(encoded.size_bytes(), intra, rec),
-                None => rc.observe(encoded.size_bytes(), intra),
-            }
+            rc.observe(encoded.size_bytes(), frame_type == FrameType::Intra);
             let (quality, residual_step) = rc.quantizers();
             self.encoder.set_quantizers(quality, residual_step);
         }
@@ -366,29 +339,6 @@ mod tests {
             assert_eq!(pa.roi, pb.roi);
             assert_eq!(pa.encoded.payload, pb.encoded.payload);
         }
-    }
-
-    #[test]
-    fn traced_frames_match_untraced_and_gauge_the_roi() {
-        use gss_telemetry::{Counter, Gauge, Recorder};
-        let mk = || {
-            let mut cfg = ServerConfig::new(GameId::G3, (96, 54), (32, 32));
-            cfg.rate_control = Some(RateControlConfig::for_bitrate_mbps(2.0));
-            GameStreamServer::new(cfg)
-        };
-        let mut plain = mk();
-        let mut traced = mk();
-        let mut rec = Recorder::new("server-test", 16.67);
-        for _ in 0..4 {
-            let a = plain.next_frame().unwrap();
-            let b = traced.next_frame_traced(&mut rec).unwrap();
-            assert_eq!(a.encoded.payload, b.encoded.payload);
-            assert_eq!(a.roi, b.roi);
-        }
-        assert_eq!(rec.counter(Counter::FramesEncoded), 4);
-        let s = rec.summary();
-        assert_eq!(s.gauge(Gauge::RoiAreaPx).unwrap().last, (32 * 32) as f64);
-        assert!(s.gauge(Gauge::EncodeQuality).is_some());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use gss_metrics::{perceptual_distance, psnr, region_weighted_psnr};
 use gss_net::{DropCause, FaultPlan, Link, LinkProfile};
 use gss_platform::{DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, ServerModel, Stage};
 use gss_render::GameId;
-use gss_telemetry::{SinkHandle, TelemetrySummary};
+use gss_telemetry::{Counter, SinkHandle, TelemetrySummary};
 use serde::{Deserialize, Serialize};
 
 /// Which client pipeline a session runs.
@@ -464,8 +464,8 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
         let send_time = i as f64 * 1000.0 / 60.0;
         let (staged, packet) = step.open(send_time)?;
         let uplink_ms = link.control_latency_ms();
-        let transfer = link.send_traced(staged.bytes, send_time, step.rec());
-        let mut frame = step.deliver(staged, uplink_ms, &transfer, 1.0);
+        let transfer = link.send(staged.bytes, send_time);
+        let mut frame = step.deliver(staged, uplink_ms, &transfer, link.effective_mbps(), 1.0);
         charge_energy(&mut meter, pipeline, &frame);
 
         // ---- data path + quality (between deliver and seal, so the
@@ -474,19 +474,23 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
             let displayed = if frame.record.frozen {
                 last_displayed.clone()
             } else {
-                Some(match pipeline {
+                let out = match pipeline {
                     Pipeline::GameStreamSr => {
                         ours_client.set_model_tier(step.sr_tier());
-                        ours_client
-                            .process_traced(&packet.encoded, packet.roi, step.rec())?
-                            .frame
+                        ours_client.process(&packet.encoded, packet.roi)?.frame
                     }
-                    Pipeline::Nemo => {
-                        nemo_client
-                            .process_traced(&packet.encoded, step.rec())?
-                            .frame
-                    }
-                })
+                    Pipeline::Nemo => nemo_client.process(&packet.encoded)?.frame,
+                };
+                // an inter frame is rebuilt from motion and residual;
+                // GameStreamSR upscales every frame, NEMO only keyframes
+                let inter = packet.frame_type == FrameType::Inter;
+                if inter {
+                    step.rec().incr(Counter::FramesReconstructed);
+                }
+                if !inter || pipeline == Pipeline::GameStreamSr {
+                    step.rec().incr(Counter::FramesUpscaled);
+                }
+                Some(out)
             };
             // scoring `displayed` while `last_displayed` holds a copy looks
             // redundant, but it fixes the order of the HR frame allocations:
@@ -631,7 +635,6 @@ impl ComparisonReport {
 mod tests {
     use super::*;
     use crate::degrade::LADDER;
-    use gss_telemetry::Counter;
 
     fn tiny_config() -> SessionConfig {
         SessionConfig {
@@ -709,9 +712,17 @@ mod tests {
 
     #[test]
     fn quality_metrics_present_when_enabled() {
-        let r = run_session(&tiny_config(), Pipeline::GameStreamSr).unwrap();
-        assert!(r.mean_psnr_db().is_some());
-        assert!(r.mean_perceptual().is_some());
+        // the pixel path also counts its work: GameStreamSR upscales every
+        // frame, NEMO only the two keyframes, and both rebuild the four
+        // inter frames
+        for (pipeline, upscaled) in [(Pipeline::GameStreamSr, 6), (Pipeline::Nemo, 2)] {
+            let r = run_session(&tiny_config(), pipeline).unwrap();
+            assert!(r.mean_psnr_db().is_some());
+            assert!(r.mean_perceptual().is_some());
+            let t = &r.telemetry;
+            assert_eq!(t.counter(Counter::FramesUpscaled), upscaled, "{pipeline:?}");
+            assert_eq!(t.counter(Counter::FramesReconstructed), 4, "{pipeline:?}");
+        }
         let r2 = run_session(&tiny_config().without_quality(), Pipeline::GameStreamSr).unwrap();
         assert!(r2.mean_psnr_db().is_none());
     }
@@ -804,7 +815,8 @@ mod tests {
         assert_eq!(mtp.count as usize, r.frames.len());
         assert!((mtp.max - r.max_mtp_ms()).abs() < 1e-9);
         // the RoI pipeline gauges the detected area every frame
-        assert!(t.gauge(Gauge::RoiAreaPx).is_some());
+        let roi = t.gauge(Gauge::RoiAreaPx).expect("roi area gauged");
+        assert_eq!(roi.count as usize, r.frames.len());
     }
 
     #[test]

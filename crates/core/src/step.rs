@@ -18,11 +18,16 @@
 //!
 //! Per frame a driver calls [`SessionStep::open`] (fault telemetry,
 //! recovery frame-open, NACK, encode — the fleet's parallel phase), sends
-//! the staged bytes over its link through [`SessionStep::rec`], then
-//! [`SessionStep::deliver`], [`SessionStep::seal`] and
+//! the staged bytes over its link, then hands the transfer and the link's
+//! goodput to [`SessionStep::deliver`] and calls [`SessionStep::seal`] and
 //! [`SessionStep::adapt`]; [`SessionStep::finish`] closes the session. A
 //! server factor and a rate cap of `1.0` multiply exactly, so a private
 //! link reproduces the uncontended fleet bit for bit.
+//!
+//! The step is the pipeline's telemetry writer: the server, the codec and
+//! the links only compute, and the step records what each call produced.
+//! A driver records through [`SessionStep::rec`] only what it alone runs:
+//! `run_session` the clients' counters, the fleet its detectors.
 
 use crate::degrade::{
     DegradationController, LadderRung, LadderStep, NackManager, NackSignal, LADDER,
@@ -40,7 +45,7 @@ use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_sr::ModelTier;
 use gss_telemetry::{
     Attributor, Counter, FrameHealth, Gauge, InstantKind, Level, Recorder, SessionAttribution,
-    SinkHandle, SloEngine, SloSummary, TelemetrySummary, TraceSession, TraceSink,
+    SinkHandle, SloEngine, SloSummary, Stage, TelemetrySummary, TraceSession, TraceSink,
 };
 
 /// Factor rescaling coded byte counts measured on an `lr_size` canvas to
@@ -240,7 +245,7 @@ impl SessionStep {
         self.apply_rung(&rung);
     }
 
-    /// The recorder, for the driver's transport and client models.
+    /// The recorder, for the driver's client counters and detectors.
     pub(crate) fn rec(&mut self) -> &mut Recorder {
         &mut self.rec
     }
@@ -396,9 +401,11 @@ impl SessionStep {
         if self.controller.is_some() {
             self.rec.gauge(Gauge::LadderRung, rung as f64);
         }
+        let mut keyframe_forced = false;
         if self.loss_recovery {
             if let Some(signal) = self.nack.begin_frame() {
                 self.server.request_keyframe();
+                keyframe_forced = true;
                 self.rec.incr(Counter::Nacks);
                 self.rec.instant(
                     InstantKind::Nack,
@@ -414,7 +421,18 @@ impl SessionStep {
                 }
             }
         }
-        let packet = self.server.next_frame_traced(&mut self.rec)?;
+        let packet = self.server.next_frame()?;
+        self.rec.gauge(Gauge::RoiAreaPx, packet.roi.area() as f64);
+        self.rec.incr(Counter::FramesEncoded);
+        // a requested keyframe is always coded intra
+        if keyframe_forced {
+            self.rec.incr(Counter::KeyframesForced);
+        }
+        if let Some((quality, residual_step)) = self.server.rate_quantizers() {
+            self.rec.gauge(Gauge::EncodeQuality, f64::from(quality));
+            self.rec
+                .gauge(Gauge::EncodeResidualStep, f64::from(residual_step));
+        }
         let staged = Staged {
             bytes: (packet.encoded.size_bytes() as f64 * self.byte_scale) as usize,
             now_ms,
@@ -426,23 +444,33 @@ impl SessionStep {
         Ok((staged, packet))
     }
 
-    /// Lands the staged frame given the driver's transport outcome: the
-    /// decoder-down drop, the freeze verdict, the NACK and recovery
-    /// frame-close, the modeled decode and upscale, and the MTP spans.
-    /// Server-side stages stretch by `server_factor`.
+    /// Lands the staged frame given the driver's transport outcome and the
+    /// link's goodput after the send: the link telemetry, the decoder-down
+    /// drop, the freeze verdict, the NACK and recovery frame-close, the
+    /// modeled decode and upscale, and the MTP spans. Server-side stages
+    /// stretch by `server_factor`.
     pub(crate) fn deliver(
         &mut self,
         staged: Staged,
         uplink_ms: f64,
         transfer: &Transfer,
+        link_mbps: f64,
         server_factor: f64,
     ) -> InFlight {
         let now_ms = staged.now_ms;
         let is_intra = staged.frame_type == FrameType::Intra;
-        let (mut dropped, downlink_ms) = if transfer.delivered() {
-            (false, transfer.transit_ms)
-        } else {
-            (true, self.drop_bound_ms)
+        self.rec.gauge(Gauge::LinkBandwidthMbps, link_mbps);
+        self.rec.add(Counter::BytesOnWire, staged.bytes as u64);
+        let (mut dropped, downlink_ms) = match transfer.drop_cause {
+            None => {
+                self.rec
+                    .record_span(Stage::LinkTransfer, now_ms, transfer.transit_ms);
+                (false, transfer.transit_ms)
+            }
+            Some(cause) => {
+                self.record_drop(cause, now_ms);
+                (true, self.drop_bound_ms)
+            }
         };
         let mut drop_cause = transfer.drop_cause;
         // a delivered frame is still unusable while the decoder is down:
@@ -452,13 +480,7 @@ impl SessionStep {
             if !dropped && !rm.can_decode(is_intra) {
                 dropped = true;
                 drop_cause = Some(DropCause::DecoderDown);
-                self.rec.incr(Counter::FramesDropped);
-                self.rec.incr(Counter::DropsDecoderDown);
-                self.rec.instant(
-                    InstantKind::Drop,
-                    now_ms,
-                    format!("frame dropped: {}", DropCause::DecoderDown.label()),
-                );
+                self.record_drop(DropCause::DecoderDown, now_ms);
             }
         }
         // a frame is unusable when it was dropped, or when it depends on a
@@ -544,9 +566,9 @@ impl SessionStep {
             let render_end = now_ms - mtp.roi_extra_ms - mtp.encode_ms;
             let depth_ms = sm.depth_capture_ms(FULL_LR) * server_factor;
             self.rec
-                .record_span(gss_telemetry::Stage::DepthCapture, render_end, depth_ms);
+                .record_span(Stage::DepthCapture, render_end, depth_ms);
             self.rec.record_span(
-                gss_telemetry::Stage::RoiDetect,
+                Stage::RoiDetect,
                 render_end + depth_ms,
                 sm.roi_search_ms(FULL_LR) * server_factor,
             );
@@ -577,6 +599,21 @@ impl SessionStep {
             upscale_start_ms,
             end_ms: now_ms - server_side_ms + mtp.total_ms(),
         }
+    }
+
+    /// Counts a dropped frame under its cause and marks it in the trace.
+    fn record_drop(&mut self, cause: DropCause, now_ms: f64) {
+        self.rec.incr(Counter::FramesDropped);
+        self.rec.incr(match cause {
+            DropCause::QueueOverflow => Counter::DropsQueueOverflow,
+            DropCause::DecoderDown => Counter::DropsDecoderDown,
+            DropCause::Outage => Counter::DropsOutage,
+        });
+        self.rec.instant(
+            InstantKind::Drop,
+            now_ms,
+            format!("frame dropped: {}", cause.label()),
+        );
     }
 
     /// Closes the frame: the deadline-miss instant and SLO breach markers

@@ -183,16 +183,6 @@ impl Link {
         }
     }
 
-    /// Replaces the link's fault timeline.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-    }
-
-    /// The link's fault timeline.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
     /// The link profile.
     pub fn profile(&self) -> &LinkProfile {
         &self.profile
@@ -268,47 +258,6 @@ impl Link {
             arrival_ms: send_time_ms + transit,
             transit_ms: transit,
         }
-    }
-
-    /// [`Link::send`] plus telemetry: records the transfer as a
-    /// [`Stage::LinkTransfer`] span over `[send_time, arrival]`, counts the
-    /// payload toward `BytesOnWire`, bumps `FramesDropped` plus a
-    /// cause-specific drop counter and emits a causal drop instant on a
-    /// loss, and reports the channel's effective (fault-adjusted) goodput
-    /// as a gauge. The channel trace is identical to an untraced send.
-    pub fn send_traced(
-        &mut self,
-        bytes: usize,
-        send_time_ms: f64,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Transfer {
-        let transfer = self.send(bytes, send_time_ms);
-        rec.gauge(
-            gss_telemetry::Gauge::LinkBandwidthMbps,
-            self.effective_mbps(),
-        );
-        rec.add(gss_telemetry::Counter::BytesOnWire, bytes as u64);
-        match transfer.drop_cause {
-            None => rec.record_span(
-                gss_telemetry::Stage::LinkTransfer,
-                send_time_ms,
-                transfer.transit_ms,
-            ),
-            Some(cause) => {
-                rec.incr(gss_telemetry::Counter::FramesDropped);
-                rec.incr(match cause {
-                    DropCause::QueueOverflow => gss_telemetry::Counter::DropsQueueOverflow,
-                    DropCause::DecoderDown => gss_telemetry::Counter::DropsDecoderDown,
-                    DropCause::Outage => gss_telemetry::Counter::DropsOutage,
-                });
-                rec.instant(
-                    gss_telemetry::InstantKind::Drop,
-                    send_time_ms,
-                    format!("frame dropped: {}", cause.label()),
-                );
-            }
-        }
-        transfer
     }
 
     /// Fraction of sent frames dropped so far.
@@ -437,26 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_send_matches_untraced_and_records_the_transfer() {
-        use gss_telemetry::{Counter, Gauge, Recorder, Stage};
-        let mut plain = Link::new(LinkProfile::wifi(), 7);
-        let mut traced = Link::new(LinkProfile::wifi(), 7);
-        let mut rec = Recorder::new("net-test", 16.67);
-        for i in 0..50 {
-            let t = i as f64 * 16.66;
-            assert_eq!(
-                plain.send(10_000, t),
-                traced.send_traced(10_000, t, &mut rec)
-            );
-        }
-        let s = rec.summary();
-        assert_eq!(s.counter(Counter::BytesOnWire), 50 * 10_000);
-        let link = s.stage(Stage::LinkTransfer).expect("link spans recorded");
-        assert_eq!(link.dist.count + s.counter(Counter::FramesDropped), 50);
-        assert!(s.gauge(Gauge::LinkBandwidthMbps).unwrap().count == 50);
-    }
-
-    #[test]
     fn outage_window_drops_everything_with_the_outage_cause() {
         let plan = FaultPlan::new(vec![FaultEvent {
             start_ms: 100.0,
@@ -541,28 +470,6 @@ mod tests {
                 assert!(same(&ta, &tu), "t={t}: {ta:?} vs {tu:?}");
             }
         }
-    }
-
-    #[test]
-    fn traced_send_counts_drop_causes() {
-        use gss_telemetry::{Counter, Recorder};
-        let plan = FaultPlan::new(vec![FaultEvent {
-            start_ms: 0.0,
-            end_ms: 200.0,
-            kind: FaultKind::Outage,
-        }]);
-        let mut link = Link::with_faults(LinkProfile::wifi(), 5, plan);
-        let mut rec = Recorder::new("net-cause-test", 16.67);
-        for i in 0..24 {
-            let _ = link.send_traced(2_000, i as f64 * 16.66, &mut rec);
-        }
-        let s = rec.summary();
-        assert_eq!(s.counter(Counter::DropsOutage), 13); // sends at t < 200
-        assert_eq!(s.counter(Counter::DropsQueueOverflow), 0);
-        assert_eq!(
-            s.counter(Counter::FramesDropped),
-            s.counter(Counter::DropsOutage)
-        );
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl SharedLink {
         self.flows.len() - 1
     }
 
-    /// Number of registered flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// The link profile of the shared bottleneck.
     pub fn profile(&self) -> &LinkProfile {
         &self.profile
@@ -177,17 +172,6 @@ impl SharedLink {
     /// shared bandwidth fault applied.
     pub fn effective_mbps(&self) -> f64 {
         self.current_mbps * self.shared_faults.bandwidth_factor(self.clock_ms)
-    }
-
-    /// Aggregate drop rate across all flows.
-    pub fn total_drop_rate(&self) -> f64 {
-        let sent: u64 = self.flows.iter().map(|f| f.stats.sent).sum();
-        let dropped: u64 = self.flows.iter().map(|f| f.stats.dropped).sum();
-        if sent == 0 {
-            0.0
-        } else {
-            dropped as f64 / sent as f64
-        }
     }
 
     /// One-way latency sample for a tiny (input/control) packet of `flow`.
@@ -276,47 +260,6 @@ impl SharedLink {
             arrival_ms: send_time_ms + transit,
             transit_ms: transit,
         }
-    }
-
-    /// [`SharedLink::send`] plus telemetry into the flow's own recorder,
-    /// mirroring [`Link::send_traced`]: a `LinkTransfer` span on delivery,
-    /// `BytesOnWire`, and on a loss `FramesDropped` plus the cause-specific
-    /// counter and a causal drop instant. The channel trace is identical
-    /// to an untraced send.
-    pub fn send_traced(
-        &mut self,
-        flow: usize,
-        bytes: usize,
-        send_time_ms: f64,
-        rec: &mut gss_telemetry::Recorder,
-    ) -> Transfer {
-        let transfer = self.send(flow, bytes, send_time_ms);
-        rec.gauge(
-            gss_telemetry::Gauge::LinkBandwidthMbps,
-            self.effective_mbps(),
-        );
-        rec.add(gss_telemetry::Counter::BytesOnWire, bytes as u64);
-        match transfer.drop_cause {
-            None => rec.record_span(
-                gss_telemetry::Stage::LinkTransfer,
-                send_time_ms,
-                transfer.transit_ms,
-            ),
-            Some(cause) => {
-                rec.incr(gss_telemetry::Counter::FramesDropped);
-                rec.incr(match cause {
-                    DropCause::QueueOverflow => gss_telemetry::Counter::DropsQueueOverflow,
-                    DropCause::DecoderDown => gss_telemetry::Counter::DropsDecoderDown,
-                    DropCause::Outage => gss_telemetry::Counter::DropsOutage,
-                });
-                rec.instant(
-                    gss_telemetry::InstantKind::Drop,
-                    send_time_ms,
-                    format!("frame dropped: {}", cause.label()),
-                );
-            }
-        }
-        transfer
     }
 }
 
@@ -488,43 +431,5 @@ mod tests {
         assert_eq!(s.mean_allocated_mbps(), Some(18.0));
         assert_eq!(FlowStats::default().mean_allocated_mbps(), None);
         assert!(s.consistent());
-    }
-
-    #[test]
-    fn traced_send_matches_untraced_and_records_per_flow() {
-        use gss_telemetry::{Counter, Recorder};
-        let mut plain = SharedLink::new(LinkProfile::wifi(), 7);
-        let p0 = plain.add_flow(FaultPlan::default());
-        let p1 = plain.add_flow(FaultPlan::default());
-        let mut traced = SharedLink::new(LinkProfile::wifi(), 7);
-        let t0 = traced.add_flow(FaultPlan::default());
-        let t1 = traced.add_flow(FaultPlan::default());
-        let mut rec0 = Recorder::new("flow-0", 16.67);
-        let mut rec1 = Recorder::new("flow-1", 16.67);
-        for i in 0..80 {
-            let t = i as f64 * 16.66;
-            assert_eq!(
-                plain.send(p0, 90_000, t).drop_cause,
-                traced.send_traced(t0, 90_000, t, &mut rec0).drop_cause
-            );
-            assert_eq!(
-                plain.send(p1, 90_000, t).drop_cause,
-                traced.send_traced(t1, 90_000, t, &mut rec1).drop_cause
-            );
-        }
-        let s0 = rec0.summary();
-        let s1 = rec1.summary();
-        assert_eq!(s0.counter(Counter::BytesOnWire), 80 * 90_000);
-        assert_eq!(
-            s0.counter(Counter::FramesDropped),
-            traced.stats(t0).dropped,
-            "recorder and ledger disagree for flow 0"
-        );
-        assert_eq!(s1.counter(Counter::FramesDropped), traced.stats(t1).dropped);
-        assert_eq!(
-            s0.counter(Counter::DropsQueueOverflow) + s0.counter(Counter::DropsOutage),
-            s0.counter(Counter::FramesDropped),
-            "a drop was double-counted under two causes"
-        );
     }
 }

@@ -1,16 +1,19 @@
 //! Fleet-simulator contract tests: bit-determinism at any worker count,
 //! join/leave churn soaks, one-session decoder-crash isolation, the
-//! deadline-miss attribution floor, and the one-session differential
-//! against `run_session`.
+//! deadline-miss attribution floor, zero-budget fleets, and the
+//! one-session differential against `run_session`.
 
 use gamestreamsr::degrade::DegradationConfig;
-use gamestreamsr::fleet::{AdmissionPolicy, FleetConfig, FleetReport, FleetSessionSpec, FleetSim};
+use gamestreamsr::fleet::{
+    AdmissionPolicy, FleetConfig, FleetReport, FleetSessionReport, FleetSessionSpec, FleetSim,
+};
 use gamestreamsr::session::{run_session, Pipeline, SessionConfig};
 use gss_codec::RateControlConfig;
 use gss_net::{FaultEvent, FaultKind, FaultPlan, LinkProfile};
 use gss_platform::pool::PoolHandle;
 use gss_platform::DeviceProfile;
 use gss_render::GameId;
+use gss_telemetry::{Counter, Gauge};
 
 fn device(i: usize) -> DeviceProfile {
     if i.is_multiple_of(2) {
@@ -53,6 +56,29 @@ fn mixed_fleet(ticks: usize, pool: PoolHandle) -> FleetConfig {
                 }])),
         );
     config
+}
+
+/// A fleet session's drop counters agree with its shared-link ledger: the
+/// link's drops by cause, plus the decoder-down drops the link never sees.
+fn assert_drops_match_the_ledger(s: &FleetSessionReport) {
+    let t = &s.telemetry;
+    let ledger = [
+        (Counter::DropsQueueOverflow, s.flow.drops_queue_overflow),
+        (Counter::DropsOutage, s.flow.drops_outage),
+        (Counter::DropsDecoderDown, s.drops_decoder_down),
+        (
+            Counter::FramesDropped,
+            s.flow.dropped + s.drops_decoder_down,
+        ),
+    ];
+    for (counter, expected) in ledger {
+        assert_eq!(
+            t.counter(counter),
+            expected,
+            "session {}: {counter:?}",
+            s.spec
+        );
+    }
 }
 
 /// Per-session digests that must replay bit-identically: the telemetry,
@@ -132,6 +158,7 @@ fn churn_soak_compressed_stays_consistent() {
     assert!(report.admission.admitted >= 2, "churn admitted nobody");
     assert!(report.flows_consistent());
     for s in &report.sessions {
+        assert_drops_match_the_ledger(s);
         assert!(
             s.left_tick > s.joined_tick,
             "session {} left before it joined",
@@ -185,6 +212,10 @@ fn decoder_crash_storm_stays_inside_its_session() {
         )
         .with_session(FleetSessionSpec::new(GameId::G3, device(2)).joining_at(2));
     let report = FleetSim::new(config).run_until_idle().expect("crash fleet");
+    report
+        .sessions
+        .iter()
+        .for_each(assert_drops_match_the_ledger);
     let victim = &report.sessions[1];
     assert!(
         victim.drops_decoder_down > 0,
@@ -212,6 +243,66 @@ fn decoder_crash_storm_stays_inside_its_session() {
         "crash-storm attribution below the 95% floor: {:.3}",
         report.attributed_fraction()
     );
+}
+
+/// A two-session fleet whose allocator has nothing to split. A zero fair
+/// share must not panic: every session streams its whole tenancy with its
+/// rate controller pinned at the quantizer floor.
+fn zero_budget_fleet(configure: impl FnOnce(&mut FleetConfig)) -> FleetReport {
+    let ticks = 30;
+    let mut config = FleetConfig::new(LinkProfile::fiber(), 0x2e60).with_ticks(ticks);
+    config.session_rate_mbps = 18.0;
+    configure(&mut config);
+    let config = config
+        .with_session(FleetSessionSpec::new(GameId::G1, device(0)))
+        .with_session(FleetSessionSpec::new(GameId::G2, device(1)).joining_at(2));
+    let report = FleetSim::new(config)
+        .run_until_idle()
+        .expect("zero-budget fleet");
+    assert_eq!(report.budget_mbps, 0.0);
+    assert!(report.flows_consistent());
+    for s in &report.sessions {
+        assert_eq!(
+            s.frames as usize,
+            ticks - s.joined_tick,
+            "session {} lost frames",
+            s.spec
+        );
+        assert_eq!(s.flow.mean_allocated_mbps(), Some(0.0));
+        assert_drops_match_the_ledger(s);
+        let quality = s
+            .telemetry
+            .gauge(Gauge::EncodeQuality)
+            .expect("rate control gauges its quality");
+        assert_eq!(
+            quality.last, 10.0,
+            "session {} is not at the quality floor",
+            s.spec
+        );
+    }
+    report
+}
+
+#[test]
+fn zero_uplink_utilization_streams_at_the_rate_floor() {
+    let report = zero_budget_fleet(|c| c.uplink_utilization = 0.0);
+    // the fiber itself is healthy, so floor-rate frames get through
+    for s in &report.sessions {
+        assert_eq!(s.flow.dropped, 0, "session {} dropped frames", s.spec);
+    }
+}
+
+#[test]
+fn zero_bandwidth_link_streams_at_the_rate_floor() {
+    let report = zero_budget_fleet(|c| c.link.bandwidth_mbps = 0.0);
+    // a link with no bandwidth delivers nothing: every frame overflows
+    for s in &report.sessions {
+        assert_eq!(
+            s.flow.drops_queue_overflow, s.frames,
+            "session {} got a frame through a dead link",
+            s.spec
+        );
+    }
 }
 
 /// Drops the `"label":"…",` member: the two drivers name their recorders

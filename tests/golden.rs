@@ -116,6 +116,23 @@ fn pixel_path_session_matches_its_golden_digest() {
     );
 }
 
+#[test]
+fn nemo_pixel_path_session_matches_its_golden_digest() {
+    // NEMO's own pixel path: software decode, full-frame SR on every
+    // keyframe and the MV+residual rebuild in between, with loss recovery
+    let config = SessionConfig {
+        frames: 8,
+        gop_size: 4,
+        loss_recovery: true,
+        ..canvas_session(GameId::G5, DeviceProfile::pixel7_pro())
+    };
+    let d = session_digest(config, Pipeline::Nemo);
+    assert_eq!(
+        d, 0xec65_46b0_a58d_3974,
+        "NEMO pixel-path session digest {d:016x}"
+    );
+}
+
 /// Four sessions: a steady one, a mid-run leaver, a decoder-crash victim
 /// and a weak-tier client under a bandwidth fade.
 fn mixed_fleet(sampled: bool) -> FleetConfig {

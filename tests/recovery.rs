@@ -87,6 +87,19 @@ fn assert_storm_recovered(name: &str, r: &SessionReport) {
         r.telemetry.counter(Counter::DropsDecoderDown),
         "{name}: drop counter"
     );
+    let by_cause: u64 = [
+        Counter::DropsQueueOverflow,
+        Counter::DropsOutage,
+        Counter::DropsDecoderDown,
+    ]
+    .into_iter()
+    .map(|c| r.telemetry.counter(c))
+    .sum();
+    assert_eq!(
+        r.telemetry.counter(Counter::FramesDropped),
+        by_cause,
+        "{name}: drop total"
+    );
     // the frozen-stall ledger blames the decoder crash for the freezes
     let stall = r
         .attribution

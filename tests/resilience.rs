@@ -16,7 +16,7 @@ use gss::core::session::{run_session, Pipeline, SessionConfig, SessionReport};
 use gss::net::{DropCause, FaultPlan};
 use gss::platform::DeviceProfile;
 use gss::render::GameId;
-use gss::telemetry::Counter;
+use gss::telemetry::{Counter, Gauge, Stage};
 
 /// Frames per millisecond of session time at the 60 FPS source rate.
 const FRAME_MS: f64 = 1000.0 / 60.0;
@@ -114,6 +114,8 @@ fn disabling_the_controller_lengthens_frozen_runs() {
 #[test]
 fn drop_causes_agree_between_frame_records_and_telemetry() {
     for r in [controller_report(), no_controller_report()] {
+        let t = &r.telemetry;
+        let frames = r.frames.len() as u64;
         for f in &r.frames {
             assert_eq!(f.dropped, f.drop_cause.is_some(), "frame {}", f.index);
         }
@@ -121,18 +123,38 @@ fn drop_causes_agree_between_frame_records_and_telemetry() {
             r.drops_with_cause(DropCause::Outage) > 0,
             "outage never hit"
         );
+        for (cause, counter) in [
+            (DropCause::QueueOverflow, Counter::DropsQueueOverflow),
+            (DropCause::Outage, Counter::DropsOutage),
+            (DropCause::DecoderDown, Counter::DropsDecoderDown),
+        ] {
+            assert_eq!(
+                r.drops_with_cause(cause) as u64,
+                t.counter(counter),
+                "{cause:?}"
+            );
+        }
+        // FramesDropped is the sum of the per-cause counters
+        let link_drops = t.counter(Counter::DropsQueueOverflow) + t.counter(Counter::DropsOutage);
         assert_eq!(
-            r.drops_with_cause(DropCause::Outage) as u64,
-            r.telemetry.counter(Counter::DropsOutage)
-        );
-        assert_eq!(
-            r.drops_with_cause(DropCause::QueueOverflow) as u64,
-            r.telemetry.counter(Counter::DropsQueueOverflow)
+            t.counter(Counter::FramesDropped),
+            link_drops + t.counter(Counter::DropsDecoderDown)
         );
         assert_eq!(
             r.frames.iter().filter(|f| f.dropped).count() as u64,
-            r.telemetry.counter(Counter::FramesDropped)
+            t.counter(Counter::FramesDropped)
         );
+        // every frame crosses the link once: a transfer span or a link
+        // drop, under one goodput sample
+        let transfers = t.stage(Stage::LinkTransfer).expect("link spans").dist;
+        assert_eq!(transfers.count + link_drops, frames);
+        let goodput = t.gauge(Gauge::LinkBandwidthMbps).expect("goodput gauged");
+        assert_eq!(goodput.count, frames);
+        // rate control gauges both quantizers once per frame
+        for gauge in [Gauge::EncodeQuality, Gauge::EncodeResidualStep] {
+            let g = t.gauge(gauge).expect("quantizer gauged");
+            assert_eq!(g.count, frames, "{gauge:?}");
+        }
     }
 }
 
@@ -149,6 +171,18 @@ fn nack_keyframe_attempts_respect_the_backoff_bound() {
         .expect("faulted link never dropped");
     // a fresh NACK forces the very next frame intra
     assert_eq!(r.frames[first_drop + 1].frame_type, FrameType::Intra);
+    // every NACK forces one keyframe, and only a forced keyframe can land
+    // off the GOP grid
+    let forced = r.telemetry.counter(Counter::KeyframesForced);
+    assert_eq!(forced, r.telemetry.counter(Counter::Nacks));
+    let gop = faulted_cfg().gop_size;
+    let off_grid = r
+        .frames
+        .iter()
+        .filter(|f| f.frame_type == FrameType::Intra && f.index % gop != 0)
+        .count() as u64;
+    assert!(off_grid > 0, "no NACK-forced keyframe");
+    assert!(off_grid <= forced, "{off_grid} off-grid keyframes");
     // while the client stays frozen, keyframe attempts arrive at least
     // every backoff-bound frames (GOP keyframes may come sooner)
     let mut since_intra = 0usize;
