@@ -217,63 +217,13 @@ fn run_bench(args: &[String]) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        (None, Some(path)) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let baseline = match bench::Baseline::from_json(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: malformed baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if baseline.quick != quick {
-                eprintln!(
-                    "error: baseline {path} was recorded with quick={}, this run has quick={} — re-run with {}",
-                    baseline.quick,
-                    quick,
-                    if baseline.quick { "--quick" } else { "no --quick" }
-                );
-                return ExitCode::FAILURE;
-            }
-            let mut current = bench::collect(&RunOptions {
+        (None, Some(path)) => check_baseline("benchmark", &path, quick, &[], || {
+            bench::collect(&RunOptions {
                 quick,
                 telemetry: None,
-            });
-            current.host = host;
-            let drifts = baseline.check(&current);
-            println!("{}", bench::drift_table(&drifts));
-            let failures: Vec<&bench::Drift> = drifts.iter().filter(|d| d.is_failure()).collect();
-            if failures.is_empty() {
-                println!(
-                    "benchmark check passed: {} metrics within tolerance of {path}",
-                    drifts.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "benchmark check FAILED: {} of {} metrics out of tolerance vs {path}:",
-                    failures.len(),
-                    drifts.len()
-                );
-                for d in &failures {
-                    eprintln!(
-                        "  {}: baseline {} -> current {} (|d| {}, rel {:.2}%)",
-                        d.name,
-                        d.baseline,
-                        d.current,
-                        d.abs_delta,
-                        d.rel_delta * 100.0
-                    );
-                }
-                ExitCode::FAILURE
-            }
-        }
+            })
+            .metrics
+        }),
         _ => {
             eprintln!(
                 "usage: figures bench [--quick] [--threads N] [--host TAG] (--emit-baseline PATH | --check PATH)"
@@ -371,83 +321,16 @@ fn run_fleetwatch(args: &[String]) -> ExitCode {
     let Some(path) = check else {
         return ExitCode::SUCCESS;
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let full = match bench::Baseline::from_json(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: malformed baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if full.quick != quick {
-        eprintln!(
-            "error: baseline {path} was recorded with quick={}, this run has quick={} — re-run with {}",
-            full.quick,
-            quick,
-            if full.quick { "--quick" } else { "no --quick" }
-        );
-        return ExitCode::FAILURE;
-    }
-    let metrics: Vec<bench::BenchMetric> = full
-        .metrics
-        .iter()
-        .filter(|m| m.name.starts_with("fleetwatch."))
-        .cloned()
-        .collect();
-    if metrics.is_empty() {
-        eprintln!("error: baseline {path} has no fleetwatch.* metrics — re-emit it");
-        return ExitCode::FAILURE;
-    }
-    let baseline = bench::Baseline {
-        host: full.host.clone(),
-        quick: full.quick,
-        metrics,
-    };
-    let mut current_metrics = bench::fleetwatch_metrics(&run);
-    current_metrics.push(bench::BenchMetric {
-        name: "fleetwatch.wall_ms".to_owned(),
-        value: wall_ms,
-        abs_tol: None,
-        rel_tol: None,
-    });
-    let current = bench::Baseline {
-        host: full.host,
-        quick,
-        metrics: current_metrics,
-    };
-    let drifts = baseline.check(&current);
-    println!("{}", bench::drift_table(&drifts));
-    let failures: Vec<&bench::Drift> = drifts.iter().filter(|d| d.is_failure()).collect();
-    if failures.is_empty() {
-        println!(
-            "fleetwatch check passed: {} metrics within tolerance of {path}",
-            drifts.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "fleetwatch check FAILED: {} of {} metrics out of tolerance vs {path}:",
-            failures.len(),
-            drifts.len()
-        );
-        for d in &failures {
-            eprintln!(
-                "  {}: baseline {} -> current {} (|d| {}, rel {:.2}%)",
-                d.name,
-                d.baseline,
-                d.current,
-                d.abs_delta,
-                d.rel_delta * 100.0
-            );
-        }
-        ExitCode::FAILURE
-    }
+    check_baseline("fleetwatch", &path, quick, &["fleetwatch."], || {
+        let mut metrics = bench::fleetwatch_metrics(&run);
+        metrics.push(bench::BenchMetric {
+            name: "fleetwatch.wall_ms".to_owned(),
+            value: wall_ms,
+            abs_tol: None,
+            rel_tol: None,
+        });
+        metrics
+    })
 }
 
 fn run_bigfleet(args: &[String]) -> ExitCode {
@@ -574,79 +457,103 @@ fn run_bigfleet(args: &[String]) -> ExitCode {
     let Some(path) = check else {
         return ExitCode::SUCCESS;
     };
-    let text = match std::fs::read_to_string(&path) {
+    check_baseline(
+        "bigfleet",
+        &path,
+        quick,
+        &["bigfleet.", "sampling."],
+        || {
+            let mut metrics = bench::bigfleet_metrics(&run);
+            metrics.push(bench::BenchMetric {
+                name: "bigfleet.wall_ms".to_owned(),
+                value: wall_ms,
+                abs_tol: None,
+                rel_tol: None,
+            });
+            metrics
+        },
+    )
+}
+
+/// Gates freshly measured metrics against the baseline at `path`. The
+/// baseline is read, parsed and checked for a quick/full mismatch before
+/// `measure` runs, so a bad baseline is refused before an expensive
+/// collect. With `prefixes` non-empty only the baseline metrics named with
+/// one of them are gated. Prints the drift table and the verdict.
+fn check_baseline(
+    what: &str,
+    path: &str,
+    quick: bool,
+    prefixes: &[&str],
+    measure: impl FnOnce() -> Vec<bench::BenchMetric>,
+) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read baseline {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let full = match bench::Baseline::from_json(&text) {
+    let mut baseline = match bench::Baseline::from_json(&text) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("error: malformed baseline {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if full.quick != quick {
+    if baseline.quick != quick {
         eprintln!(
             "error: baseline {path} was recorded with quick={}, this run has quick={} — re-run with {}",
-            full.quick,
+            baseline.quick,
             quick,
-            if full.quick { "--quick" } else { "no --quick" }
+            if baseline.quick { "--quick" } else { "no --quick" }
         );
         return ExitCode::FAILURE;
     }
-    let metrics: Vec<bench::BenchMetric> = full
-        .metrics
-        .iter()
-        .filter(|m| m.name.starts_with("bigfleet.") || m.name.starts_with("sampling."))
-        .cloned()
-        .collect();
-    if metrics.is_empty() {
-        eprintln!("error: baseline {path} has no bigfleet.*/sampling.* metrics — re-emit it");
-        return ExitCode::FAILURE;
+    if !prefixes.is_empty() {
+        baseline
+            .metrics
+            .retain(|m| prefixes.iter().any(|p| m.name.starts_with(p)));
+        if baseline.metrics.is_empty() {
+            let names: Vec<String> = prefixes.iter().map(|p| format!("{p}*")).collect();
+            eprintln!(
+                "error: baseline {path} has no {} metrics — re-emit it",
+                names.join("/")
+            );
+            return ExitCode::FAILURE;
+        }
     }
-    let baseline = bench::Baseline {
-        host: full.host.clone(),
-        quick: full.quick,
-        metrics,
-    };
-    let mut current_metrics = bench::bigfleet_metrics(&run);
-    current_metrics.push(bench::BenchMetric {
-        name: "bigfleet.wall_ms".to_owned(),
-        value: wall_ms,
-        abs_tol: None,
-        rel_tol: None,
-    });
     let current = bench::Baseline {
-        host: full.host,
+        host: baseline.host.clone(),
         quick,
-        metrics: current_metrics,
+        metrics: measure(),
     };
     let drifts = baseline.check(&current);
     println!("{}", bench::drift_table(&drifts));
     let failures: Vec<&bench::Drift> = drifts.iter().filter(|d| d.is_failure()).collect();
     if failures.is_empty() {
         println!(
-            "bigfleet check passed: {} metrics within tolerance of {path}",
+            "{what} check passed: {} metrics within tolerance of {path}",
             drifts.len()
         );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bigfleet check FAILED: {} of {} metrics out of tolerance vs {path}:",
-            failures.len(),
-            drifts.len()
-        );
-        for d in &failures {
-            eprintln!(
-                "  {}: baseline {} -> current {} (|d| {}, rel {:.2}%)",
-                d.name, d.baseline, d.current, d.abs_delta, d.rel_delta
-            );
-        }
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    eprintln!(
+        "{what} check FAILED: {} of {} metrics out of tolerance vs {path}:",
+        failures.len(),
+        drifts.len()
+    );
+    for d in &failures {
+        eprintln!(
+            "  {}: baseline {} -> current {} (|d| {}, rel {:.2}%)",
+            d.name,
+            d.baseline,
+            d.current,
+            d.abs_delta,
+            d.rel_delta * 100.0
+        );
+    }
+    ExitCode::FAILURE
 }
 
 fn run_triage(args: &[String]) -> ExitCode {

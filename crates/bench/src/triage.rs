@@ -14,7 +14,7 @@
 //! integration tests assert. Wall-clock artifacts (the collapsed-stack
 //! pool profile) are deliberately separate files.
 //!
-//! [`TriageReport::gate`] enforces the CI health contract on the
+//! [`TriageReport::gate_failures`] enforces the CI health contract on the
 //! controller-managed storm: no SLO may breach, and at most 5% of its
 //! deadline misses may be left `unknown`.
 

@@ -70,7 +70,7 @@ use gss_telemetry::timeseries::{
 use gss_telemetry::{
     chrome_trace_json_ext, enforce_fleet_cap, Counter, CounterTrack, InstantKind, Level,
     SamplingPolicy, SamplingSummary, SamplingTraceSink, SessionAttribution, SinkHandle, SloSummary,
-    TelemetrySummary, TraceInstant, TraceSession,
+    TelemetrySummary, TraceInstant, TraceSession, TraceSink,
 };
 
 /// One session's place in the fleet timeline.
@@ -241,12 +241,8 @@ impl FleetConfig {
     /// The `run_session` configuration one fleet session streams with:
     /// the fleet's canvas, GOP, codec and server model, rate control at
     /// the nominal per-session rate, loss recovery always on and no pixel
-    /// path. The tail sampler, when present, rides as its telemetry sink.
-    fn session_config(
-        &self,
-        spec: &FleetSessionSpec,
-        sampler: Option<&SamplingTraceSink>,
-    ) -> SessionConfig {
+    /// path. The session's trace collector rides as its telemetry sink.
+    fn session_config(&self, spec: &FleetSessionSpec, trace: &TraceCollector) -> SessionConfig {
         SessionConfig {
             link: self.link.clone(),
             gop_size: self.gop_size,
@@ -262,7 +258,7 @@ impl FleetConfig {
                 ..RateControlConfig::for_bitrate_mbps(self.session_rate_mbps)
             }),
             loss_recovery: true,
-            telemetry: sampler.map(|s| SinkHandle::new(s.clone())),
+            telemetry: Some(trace.handle()),
             fault_plan: spec.fault_plan.clone(),
             degradation: self.degradation,
             pool: self.pool,
@@ -278,10 +274,8 @@ struct ActiveSession {
     joined_tick: usize,
     flow: usize,
     step: SessionStep,
-    /// Tail-sampling collector fed the same event stream as the step's
-    /// full trace when [`FleetConfig::sampling`] is on; only its retained
-    /// frames survive into the merged trace.
-    sampler: Option<SamplingTraceSink>,
+    /// Where the session's frames go: its telemetry sink.
+    trace: TraceCollector,
     /// What the parallel produce phase staged for the serial transport
     /// phase (never the server packet itself).
     staged: Option<Staged>,
@@ -420,7 +414,8 @@ pub struct FleetSessionReport {
     pub telemetry: TelemetrySummary,
     /// SLO standings.
     pub slo: SloSummary,
-    /// Deadline-miss / stall attribution replayed from the trace.
+    /// Deadline-miss / stall attribution, judged frame by frame as the
+    /// session streamed.
     pub attribution: SessionAttribution,
     /// This session's ledger on the shared link.
     pub flow: FlowStats,
@@ -805,16 +800,52 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[rank - 1]
 }
 
-/// One finished session's trace plus its counter-track samples, keyed by
-/// spec index for pid assignment at export time. Exactly one of `session`
-/// (full trace) and `sampler` (tail-sampled trace, kept live so the fleet
-/// cap can still evict its baselines) is populated, per
-/// [`FleetConfig::sampling`].
+/// A fleet session's trace collector, per [`FleetConfig::sampling`]:
+/// every frame's span tree, or the tail sampler's retained frames.
+#[derive(Debug, Clone)]
+enum TraceCollector {
+    Full(TraceSink),
+    Sampled(SamplingTraceSink),
+}
+
+impl TraceCollector {
+    fn new(sampling: Option<SamplingPolicy>) -> Self {
+        match sampling {
+            Some(policy) => TraceCollector::Sampled(SamplingTraceSink::new(policy)),
+            None => TraceCollector::Full(TraceSink::new()),
+        }
+    }
+
+    fn handle(&self) -> SinkHandle {
+        match self {
+            TraceCollector::Full(sink) => SinkHandle::new(sink.clone()),
+            TraceCollector::Sampled(sink) => SinkHandle::new(sink.clone()),
+        }
+    }
+
+    fn sampler(&self) -> Option<&SamplingTraceSink> {
+        match self {
+            TraceCollector::Sampled(sink) => Some(sink),
+            TraceCollector::Full(_) => None,
+        }
+    }
+
+    /// The collected session: every frame, or only the retained ones.
+    fn session(&self) -> Option<TraceSession> {
+        match self {
+            TraceCollector::Full(sink) => sink.sessions().pop(),
+            TraceCollector::Sampled(sink) => sink.sessions().pop(),
+        }
+    }
+}
+
+/// One finished session's trace collector (a sampler stays live so the
+/// fleet cap can still evict its baselines) plus its counter-track
+/// samples, keyed by spec index for pid assignment at export time.
 #[derive(Debug, Clone)]
 struct SessionTrace {
     spec: usize,
-    session: Option<TraceSession>,
-    sampler: Option<SamplingTraceSink>,
+    collector: TraceCollector,
     tracks: Vec<(&'static str, Vec<(f64, f64)>)>,
 }
 
@@ -870,13 +901,13 @@ impl FleetSim {
     fn spawn_session(&mut self, spec_idx: usize, tick: usize) -> ActiveSession {
         let config = &self.config;
         let spec = &config.sessions[spec_idx];
-        let sampler = config.sampling.map(SamplingTraceSink::new);
+        let trace = TraceCollector::new(config.sampling);
         let label = format!(
             "fleet#{spec_idx} {:?} @ {} ({})",
             spec.game, spec.device.name, config.link.name
         );
         let step = SessionStep::new(
-            &config.session_config(spec, sampler.as_ref()),
+            &config.session_config(spec, &trace),
             Pipeline::GameStreamSr,
             label,
         );
@@ -885,7 +916,7 @@ impl FleetSim {
             joined_tick: tick,
             flow: self.link.add_flow(spec.fault_plan.clone()),
             step,
-            sampler,
+            trace,
             staged: None,
             error: None,
             frames_total: 0,
@@ -910,28 +941,21 @@ impl FleetSim {
 
     fn finalize_session(&mut self, mut s: ActiveSession, left_tick: usize) {
         let done = s.step.finish();
-        if let Some(sampler) = s.sampler.take() {
-            // Sampled mode: the full trace (and the full-resolution
-            // per-session rate tracks) are dropped here — only the
-            // sampler's retained frames and its sampling counter tracks
-            // survive into the merged export. That is the entire point.
-            self.traces.push(SessionTrace {
-                spec: s.spec_idx,
-                session: None,
-                sampler: Some(sampler),
-                tracks: Vec::new(),
-            });
-        } else if let Some(sess) = done.trace {
-            self.traces.push(SessionTrace {
-                spec: s.spec_idx,
-                session: Some(sess),
-                sampler: None,
-                tracks: vec![
-                    ("alloc-mbps", std::mem::take(&mut s.alloc_track)),
-                    ("consumed-mbps", std::mem::take(&mut s.consumed_track)),
-                ],
-            });
-        }
+        // Sampled mode drops the full-resolution per-session rate tracks:
+        // only the sampler's retained frames and its sampling counter
+        // tracks survive into the merged export. That is the entire point.
+        let tracks = match s.trace {
+            TraceCollector::Full(_) => vec![
+                ("alloc-mbps", std::mem::take(&mut s.alloc_track)),
+                ("consumed-mbps", std::mem::take(&mut s.consumed_track)),
+            ],
+            TraceCollector::Sampled(_) => Vec::new(),
+        };
+        self.traces.push(SessionTrace {
+            spec: s.spec_idx,
+            collector: s.trace,
+            tracks,
+        });
         self.watch.rung_flaps += s.flap.events;
         self.watch.starvation_events += s.starve.events;
         self.watch.starved_max_streak = self.watch.starved_max_streak.max(s.starve.max_streak);
@@ -1158,8 +1182,10 @@ impl FleetSim {
         }
     }
 
-    /// Runs every remaining tick, finalizes every session, and returns
-    /// the fleet report (sessions in spec order).
+    /// Runs every remaining tick, finalizes every session at the tick
+    /// reached (later than [`FleetConfig::ticks`] when the fleet was
+    /// stepped past it), and returns the fleet report (sessions in spec
+    /// order).
     ///
     /// # Errors
     ///
@@ -1168,7 +1194,8 @@ impl FleetSim {
         while self.tick < self.config.ticks {
             self.step()?;
         }
-        let end = self.config.ticks;
+        // a fleet stepped past its horizon finalizes where it stands
+        let end = self.tick;
         while let Some(s) = self.active.pop() {
             self.finalize_session(s, end);
         }
@@ -1183,7 +1210,7 @@ impl FleetSim {
             link: self.config.link.name.to_owned(),
             budget_mbps: self.config.budget_mbps(),
             capacity: self.config.admission.capacity,
-            ticks: self.config.ticks,
+            ticks: end,
             admission: self.admission.clone(),
             sessions: self.finished.clone(),
             mtp_p50_ms: percentile(&mut mtp, 0.50),
@@ -1204,8 +1231,12 @@ impl FleetSim {
         finished.sort_by_key(|st| st.spec);
         finished
             .into_iter()
-            .filter_map(|st| st.sampler.clone())
-            .chain(self.active.iter().filter_map(|s| s.sampler.clone()))
+            .filter_map(|st| st.collector.sampler().cloned())
+            .chain(
+                self.active
+                    .iter()
+                    .filter_map(|s| s.trace.sampler().cloned()),
+            )
             .collect()
     }
 
@@ -1232,13 +1263,8 @@ impl FleetSim {
             .iter()
             .enumerate()
             .filter_map(|(i, st)| {
-                let sampler = st.sampler.as_ref()?;
-                let pid = (i + 1) as u64;
-                let mut sess = sampler.sessions().pop()?;
-                sess.pid = pid;
-                for f in &mut sess.frames {
-                    f.trace_id = pid * 1_000_000 + f.frame;
-                }
+                let mut sess = st.collector.sampler()?.sessions().pop()?;
+                sess.rekey((i + 1) as u64);
                 Some(sess)
             })
             .collect()
@@ -1269,26 +1295,19 @@ impl FleetSim {
             .enumerate()
             .map(|(i, st)| {
                 let pid = (i + 1) as u64;
-                let mut sess = match (st.session, &st.sampler) {
-                    // Sampled mode: only the retained frames survive,
-                    // plus the per-session sampling counter tracks.
-                    (None, Some(sampler)) => {
-                        for mut track in sampler.counter_tracks() {
-                            track.pid = pid;
-                            counters.push(track);
-                        }
-                        sampler.sessions().pop().unwrap_or_else(|| TraceSession {
-                            label: String::new(),
-                            pid,
-                            frames: Vec::new(),
-                        })
+                // sampled mode: only the retained frames survive, plus the
+                // per-session sampling counter tracks
+                if let Some(sampler) = st.collector.sampler() {
+                    for mut track in sampler.counter_tracks() {
+                        track.pid = pid;
+                        counters.push(track);
                     }
-                    (sess, _) => sess.expect("full-trace session present"),
-                };
-                sess.pid = pid;
-                for f in &mut sess.frames {
-                    f.trace_id = pid * 1_000_000 + f.frame;
                 }
+                let mut sess = st
+                    .collector
+                    .session()
+                    .unwrap_or_else(|| TraceSession::new(String::new(), pid, Vec::new()));
+                sess.rekey(pid);
                 for (name, samples) in st.tracks {
                     if !samples.is_empty() {
                         counters.push(CounterTrack {

@@ -277,7 +277,7 @@ pub struct SessionReport {
     /// gauges and deadline-miss accounting for the whole session.
     pub telemetry: TelemetrySummary,
     /// Root-cause attribution of every deadline miss and frozen stall,
-    /// replayed from the session's causal trace.
+    /// judged frame by frame as the session streamed.
     pub attribution: gss_telemetry::SessionAttribution,
     /// Service-level-objective standings: breaches and worst burn rates
     /// for the standard objectives ([`gss_telemetry::SloEngine::standard`]).

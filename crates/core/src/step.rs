@@ -1,7 +1,7 @@
 //! One session's per-frame pipeline, shared by both drivers.
 //!
 //! [`SessionStep`] owns everything that decides a frame's fate between the
-//! server and the display: the recorder and its full-trace tee, the
+//! server and the display: the recorder and its attribution tee, the
 //! server, capability negotiation, the degradation ladder, the NACK
 //! manager, the crash-recovery machine, the SLO engine and the active RoI
 //! window / SR tier. Two drivers step it and inject only what differs:
@@ -45,7 +45,7 @@ use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_sr::ModelTier;
 use gss_telemetry::{
     Attributor, Counter, FrameHealth, Gauge, InstantKind, Level, Recorder, SessionAttribution,
-    SinkHandle, SloEngine, SloSummary, Stage, TelemetrySummary, TraceSession, TraceSink,
+    SinkHandle, SloEngine, SloSummary, Stage, TelemetrySummary,
 };
 
 /// Factor rescaling coded byte counts measured on an `lr_size` canvas to
@@ -92,8 +92,6 @@ pub(crate) struct Finished {
     pub slo: SloSummary,
     pub attribution: SessionAttribution,
     pub recovery: Option<RecoverySummary>,
-    /// The session's full causal trace.
-    pub trace: Option<TraceSession>,
 }
 
 /// One session's per-frame state. See the module docs for the call order.
@@ -109,7 +107,7 @@ pub(crate) struct SessionStep {
     byte_scale: f64,
     server: GameStreamServer,
     rec: Recorder,
-    trace: TraceSink,
+    attributor: Attributor,
     slo: SloEngine,
     controller: Option<DegradationController>,
     /// The negotiated rung a session without a controller is pinned to.
@@ -132,8 +130,8 @@ pub(crate) struct SessionStep {
 impl SessionStep {
     /// Builds the session's server and recorder and negotiates the
     /// stream with the device before the first frame. `config.telemetry`
-    /// is tee'd with an internal full-trace sink, which attribution
-    /// replays at [`SessionStep::finish`].
+    /// is tee'd with an [`Attributor`], which judges every frame as it
+    /// closes.
     pub(crate) fn new(config: &SessionConfig, pipeline: Pipeline, label: String) -> Self {
         let plan = plan_roi_window(
             &config.device,
@@ -163,11 +161,11 @@ impl SessionStep {
                 rc
             }),
         });
-        let trace = TraceSink::new();
-        let trace_handle = SinkHandle::new(trace.clone());
+        let attributor = Attributor::new(REALTIME_BUDGET_MS);
+        let tee = SinkHandle::new(attributor.clone());
         let rec = Recorder::new(label, REALTIME_BUDGET_MS).with_sink(match &config.telemetry {
-            Some(sink) => SinkHandle::fanout(vec![sink.clone(), trace_handle]),
-            None => trace_handle,
+            Some(sink) => SinkHandle::fanout(vec![sink.clone(), tee]),
+            None => tee,
         });
         // the ladder controller adapts the GameStreamSR pipeline only; the
         // NACK manager paces keyframe requests whenever loss recovery is on
@@ -194,7 +192,7 @@ impl SessionStep {
             byte_scale,
             server,
             rec,
-            trace,
+            attributor,
             slo: SloEngine::standard(REALTIME_BUDGET_MS),
             controller,
             pinned_rung: 0,
@@ -639,10 +637,9 @@ impl SessionStep {
                 .instant(InstantKind::SloBreach, frame.end_ms, ev.detail);
         }
         let record = &mut frame.record;
-        record.deadline_met = self
-            .rec
-            .end_frame(record.mtp.total_ms(), critical_ms, record.bytes as u64)
-            .expect("the step records one-shot spans only; none can be left open");
+        record.deadline_met =
+            self.rec
+                .end_frame(record.mtp.total_ms(), critical_ms, record.bytes as u64);
         self.frame += 1;
     }
 
@@ -676,21 +673,15 @@ impl SessionStep {
             .instant(InstantKind::LadderShift, frame.end_ms, msg);
     }
 
-    /// Closes the session and replays its causal trace to attribute every
-    /// deadline miss and stall.
+    /// Closes the session and collects its aggregates, SLO standings and
+    /// the attributor's verdict on every deadline miss and stall.
     pub(crate) fn finish(mut self) -> Finished {
         let telemetry = self.rec.finish();
-        let trace = self.trace.sessions().pop();
-        let attribution = trace
-            .as_ref()
-            .map(|s| Attributor::new(REALTIME_BUDGET_MS).attribute(s))
-            .unwrap_or_default();
         Finished {
             telemetry,
             slo: self.slo.summary(),
-            attribution,
+            attribution: self.attributor.attribution(),
             recovery: self.recovery.map(RecoveryMachine::into_summary),
-            trace,
         }
     }
 }

@@ -1,9 +1,11 @@
-//! Deadline-miss root-cause attribution over the causal frame trace.
+//! Deadline-miss root-cause attribution, streamed from the recorder's
+//! events.
 //!
 //! A deadline miss recorded by the session is a single boolean; triage
-//! needs to know *what ate the budget*. This module replays a completed
-//! [`TraceSession`] — the per-frame causal span tree plus its instant
-//! markers — and assigns every missed frame to a cause from a small
+//! needs to know *what ate the budget*. [`Attributor`] is a [`Sink`]: it
+//! folds each frame's stage spans and instant markers into a handful of
+//! facts as they arrive, judges the frame when it closes, and keeps only
+//! the verdicts of missed frames. Every miss gets a cause from a small
 //! taxonomy ([`MissCause`]):
 //!
 //! - Stage spans are compared against a rolling per-stage baseline (an
@@ -13,10 +15,12 @@
 //! - Fault instants carry the active fault set across frames, so a miss
 //!   that coincides with an `npu-throttle` window is blamed on the
 //!   throttle rather than on the SR pass being intrinsically slow.
-//! - Ladder-shift instants give the pass hindsight: a miss while the
-//!   degradation controller is still mid-descent is `LadderLag` (the
-//!   ladder had not yet caught up with the fault), distinct from
-//!   `NpuThrottle` (the ladder had nothing left to give).
+//! - Ladder-shift instants give hindsight: a miss while the degradation
+//!   controller is still mid-descent is `LadderLag` (the ladder had not
+//!   yet caught up with the fault), distinct from `NpuThrottle` (the
+//!   ladder had nothing left to give). The controller decides after a
+//!   frame closes, so a downgrade arrives after the misses it answers
+//!   have been judged, and relabels them.
 //!
 //! Frozen display slots never miss the upscaling deadline (there is
 //! nothing to upscale), so stalls are attributed separately from drop
@@ -26,14 +30,17 @@
 //! Everything is computed from modeled timestamps, so attribution of the
 //! same session is byte-identical across reruns and worker counts.
 
+use std::sync::{Arc, Mutex};
+
 use crate::hist::{DistSummary, Histogram};
 use crate::json::{json_escape, json_f64};
+use crate::sink::{Event, Sink};
 use crate::summary::dist_json;
-use crate::trace::{TraceFrame, TraceSession, UPSCALE_SPAN};
+use crate::trace::is_upscale_leg;
 use crate::{InstantKind, Stage};
 
 /// Root causes a missed deadline (or a frozen stall) can be blamed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum MissCause {
     /// NPU thermal throttle inflated the SR pass beyond the budget.
     NpuThrottle,
@@ -61,6 +68,7 @@ pub enum MissCause {
     /// exporter), never from a trace replay.
     PoolImbalance,
     /// No cause matched — the miss needs a human.
+    #[default]
     Unknown,
 }
 
@@ -313,232 +321,187 @@ const ELEVATION_SLACK_MS: f64 = 0.05;
 /// reacting to the episode this miss belongs to.
 const LADDER_LOOKAHEAD_FRAMES: u64 = 90;
 
-/// Everything pass 1 extracts from one [`TraceFrame`].
+/// What one frame's events add up to, accumulated as they arrive.
+#[derive(Debug, Default)]
 struct FrameFacts {
     frame: u64,
-    deadline_met: bool,
-    frozen: bool,
-    critical_ms: f64,
-    miss_ts_ms: f64,
+    /// Summed span time per stage, ms.
     stage_ms: [f64; Stage::COUNT],
-    faults: Vec<String>,
+    /// Envelope of the upscale legs (NPU, GPU, merge): the critical path.
+    legs: Option<(f64, f64)>,
+    /// Timestamp of the first deadline-miss instant.
+    miss_ts_ms: Option<f64>,
+    /// Cause label of the first drop instant.
     drop_cause: Option<String>,
+    /// A ladder downgrade was decided while the frame was still open.
+    downgraded: bool,
 }
 
-/// Replays completed trace sessions and assigns blame.
-///
-/// The attributor is stateless between sessions; construct once and call
-/// [`Attributor::attribute`] per [`TraceSession`].
-#[derive(Debug, Clone)]
-pub struct Attributor {
-    budget_ms: f64,
-}
-
-impl Attributor {
-    /// An attributor judging frames against `budget_ms`.
-    pub fn new(budget_ms: f64) -> Self {
-        Attributor { budget_ms }
+impl FrameFacts {
+    fn span(&mut self, stage: Stage, start_ms: f64, end_ms: f64) {
+        let end_ms = end_ms.max(start_ms);
+        self.stage_ms[stage.index()] += end_ms - start_ms;
+        if is_upscale_leg(stage) {
+            let (lo, hi) = self.legs.get_or_insert((start_ms, end_ms));
+            *lo = lo.min(start_ms);
+            *hi = hi.max(end_ms);
+        }
     }
 
-    /// Walks the session's frames in order and attributes every deadline
-    /// miss and every frozen stall.
-    pub fn attribute(&self, session: &TraceSession) -> SessionAttribution {
-        // ---- pass 1: flatten each frame's spans + instants into facts,
-        // carrying the active fault set across frames ----
-        let mut facts: Vec<FrameFacts> = Vec::with_capacity(session.frames.len());
-        let mut active_faults: Vec<String> = Vec::new();
-        let mut downgrade_frames: Vec<u64> = Vec::new();
-        for f in &session.frames {
-            for inst in &f.instants {
-                match inst.kind {
-                    InstantKind::Fault => {
-                        if inst.detail.trim() == "faults cleared" {
-                            active_faults.clear();
-                        } else if let Some(list) = inst.detail.strip_prefix("faults active: ") {
-                            active_faults = list.split('+').map(str::to_owned).collect();
-                        }
-                    }
-                    InstantKind::LadderShift if inst.detail.starts_with("ladder down") => {
-                        downgrade_frames.push(f.frame);
-                    }
-                    _ => {}
-                }
+    fn instant(&mut self, kind: InstantKind, ts_ms: f64, detail: &str) {
+        match kind {
+            InstantKind::DeadlineMiss if self.miss_ts_ms.is_none() => self.miss_ts_ms = Some(ts_ms),
+            InstantKind::Drop if self.drop_cause.is_none() => {
+                self.drop_cause = detail.rsplit_once(": ").map(|(_, label)| label.to_owned());
             }
-            facts.push(self.frame_facts(f, &active_faults));
+            InstantKind::LadderShift if is_downgrade(detail) => self.downgraded = true,
+            _ => {}
         }
+    }
 
-        // ---- pass 2: baselines stream forward over healthy frames; each
-        // miss is judged against the baseline as of its own frame, with
-        // ladder hindsight from the downgrade schedule ----
-        let mut baselines: [Option<f64>; Stage::COUNT] = [None; Stage::COUNT];
-        let mut hists: Vec<Histogram> = (0..MissCause::COUNT)
-            .map(|_| Histogram::latency_ms())
-            .collect();
-        let mut tallies: Vec<(u64, f64, u64, f64)> = vec![(0, 0.0, 0, 0.0); MissCause::COUNT];
-        let mut records: Vec<MissRecord> = Vec::new();
-        let mut misses = 0u64;
-        // frozen-slot ledger: carry the causing drop across the stall run
-        let mut stall_frames = [0u64; MissCause::COUNT];
-        let mut stall_longest = [0u64; MissCause::COUNT];
-        let mut stall_run = 0u64;
-        let mut stall_cause = MissCause::Unknown;
-        for f in &facts {
-            if f.frozen {
-                if let Some(cause) = f.drop_cause.as_deref().and_then(drop_label_to_cause) {
-                    if stall_run == 0 || cause != stall_cause {
-                        stall_cause = cause;
-                    }
-                } else if stall_run == 0 {
-                    stall_cause = MissCause::Unknown;
+    fn stage(&self, stage: Stage) -> f64 {
+        self.stage_ms[stage.index()]
+    }
+
+    /// The upscale critical path: the slower of the NPU/GPU legs plus the
+    /// merge, or 0 when nothing was upscaled.
+    fn critical_ms(&self) -> f64 {
+        self.legs.map_or(0.0, |(lo, hi)| hi - lo)
+    }
+
+    /// A frame with nothing decoded or upscaled repeats the last one.
+    fn frozen(&self) -> bool {
+        [Stage::Decode, Stage::NpuSr, Stage::GpuInterp, Stage::Merge]
+            .iter()
+            .all(|&s| self.stage(s) == 0.0)
+    }
+}
+
+fn is_downgrade(detail: &str) -> bool {
+    detail.starts_with("ladder down")
+}
+
+/// One session's attribution state.
+#[derive(Debug, Default)]
+struct AttributionState {
+    label: String,
+    frames: u64,
+    /// The frame in flight, between `FrameStart` and `FrameEnd`.
+    open: Option<FrameFacts>,
+    /// The last frame judged: post-frame instants belong to it.
+    last_judged: Option<u64>,
+    active_faults: Vec<String>,
+    /// Per-stage EMA baselines, fed by healthy frames only.
+    baselines: [Option<f64>; Stage::COUNT],
+    // frozen-slot ledger: the causing drop carries across the stall run
+    stall_frames: [u64; MissCause::COUNT],
+    stall_longest: [u64; MissCause::COUNT],
+    stall_run: u64,
+    stall_cause: MissCause,
+    /// Every miss judged so far, in frame order.
+    records: Vec<MissRecord>,
+}
+
+impl AttributionState {
+    fn open_frame(&mut self, frame: u64) -> &mut FrameFacts {
+        self.open.get_or_insert_with(|| FrameFacts {
+            frame,
+            ..FrameFacts::default()
+        })
+    }
+
+    fn instant(&mut self, frame: u64, kind: InstantKind, ts_ms: f64, detail: &str) {
+        if kind == InstantKind::Fault {
+            if detail.trim() == "faults cleared" {
+                self.active_faults.clear();
+            } else if let Some(list) = detail.strip_prefix("faults active: ") {
+                self.active_faults = list.split('+').map(str::to_owned).collect();
+            }
+        }
+        match (self.open.as_mut(), self.last_judged) {
+            (Some(open), _) => open.instant(kind, ts_ms, detail),
+            // a post-frame instant: the controller's verdict on the frame
+            // just judged
+            (None, Some(last)) => {
+                if kind == InstantKind::LadderShift && is_downgrade(detail) {
+                    self.relabel(last);
                 }
-                stall_run += 1;
-                let idx = stall_cause.index();
-                stall_frames[idx] += 1;
-                stall_longest[idx] = stall_longest[idx].max(stall_run);
-            } else {
-                stall_run = 0;
             }
-            if f.deadline_met {
-                if !f.frozen {
-                    for s in Stage::ALL {
-                        let v = f.stage_ms[s.index()];
-                        if v > 0.0 {
-                            let b = baselines[s.index()].unwrap_or(v);
-                            baselines[s.index()] =
-                                Some(b * (1.0 - BASELINE_ALPHA) + v * BASELINE_ALPHA);
-                        }
+            (None, None) => self.open_frame(frame).instant(kind, ts_ms, detail),
+        }
+    }
+
+    /// Judges the open frame, if any: the stall ledger, the baselines,
+    /// and a verdict when it missed.
+    fn close(&mut self, deadline_met: bool, budget_ms: f64) {
+        let Some(f) = self.open.take() else {
+            return;
+        };
+        self.frames += 1;
+        self.last_judged = Some(f.frame);
+        let frozen = f.frozen();
+        if frozen {
+            if let Some(cause) = f.drop_cause.as_deref().and_then(drop_label_to_cause) {
+                self.stall_cause = cause;
+            } else if self.stall_run == 0 {
+                self.stall_cause = MissCause::Unknown;
+            }
+            self.stall_run += 1;
+            let idx = self.stall_cause.index();
+            self.stall_frames[idx] += 1;
+            self.stall_longest[idx] = self.stall_longest[idx].max(self.stall_run);
+        } else {
+            self.stall_run = 0;
+        }
+        if deadline_met {
+            if !frozen {
+                for s in Stage::ALL {
+                    let v = f.stage(s);
+                    if v > 0.0 {
+                        let b = self.baselines[s.index()].unwrap_or(v);
+                        self.baselines[s.index()] =
+                            Some(b * (1.0 - BASELINE_ALPHA) + v * BASELINE_ALPHA);
                     }
                 }
-                continue;
             }
-            misses += 1;
-            let overrun = (f.critical_ms - self.budget_ms).max(0.0);
-            let (cause, detail) = self.judge(f, &baselines, &downgrade_frames);
-            let idx = cause.index();
-            hists[idx].record(overrun);
-            let t = &mut tallies[idx];
-            t.0 += 1;
-            t.1 += overrun;
-            if overrun > t.3 || t.0 == 1 {
-                t.2 = f.frame;
-                t.3 = overrun;
-            }
-            records.push(MissRecord {
+        } else {
+            let critical_ms = f.critical_ms();
+            let (cause, detail) = self.judge(&f, critical_ms, budget_ms);
+            self.records.push(MissRecord {
                 frame: f.frame,
-                ts_ms: f.miss_ts_ms,
-                overrun_ms: overrun,
+                ts_ms: f
+                    .miss_ts_ms
+                    .unwrap_or_else(|| f.legs.map_or(0.0, |(_, hi)| hi)),
+                overrun_ms: (critical_ms - budget_ms).max(0.0),
                 cause,
                 detail,
             });
         }
-
-        let blame = MissCause::ALL
-            .iter()
-            .filter(|c| tallies[c.index()].0 > 0)
-            .map(|&cause| {
-                let (n, total, worst_frame, worst) = tallies[cause.index()];
-                BlameEntry {
-                    cause,
-                    misses: n,
-                    total_overrun_ms: total,
-                    worst_frame,
-                    worst_overrun_ms: worst,
-                    overrun: hists[cause.index()].summary(),
-                }
-            })
-            .collect();
-        let stalls = MissCause::ALL
-            .iter()
-            .filter(|c| stall_frames[c.index()] > 0)
-            .map(|&cause| StallEntry {
-                cause,
-                frames: stall_frames[cause.index()],
-                longest_run: stall_longest[cause.index()],
-            })
-            .collect();
-        SessionAttribution {
-            label: session.label.clone(),
-            frames: session.frames.len() as u64,
-            misses,
-            blame,
-            stalls,
-            records,
+        if f.downgraded {
+            self.relabel(f.frame);
         }
     }
 
-    fn frame_facts(&self, f: &TraceFrame, active_faults: &[String]) -> FrameFacts {
-        let mut stage_ms = [0.0; Stage::COUNT];
-        let mut umbrella: Option<(f64, f64)> = None;
-        for span in &f.spans {
-            if span.name == UPSCALE_SPAN {
-                umbrella = Some((span.start_ms, span.end_ms));
-                continue;
+    /// Ladder hindsight: a downgrade decided at frame `d` means the
+    /// controller was still descending toward a rung that absorbs the
+    /// throttle, so the reaction, not the NPU, is to blame for the
+    /// throttle misses of frames `d - LADDER_LOOKAHEAD_FRAMES ..= d`.
+    fn relabel(&mut self, d: u64) {
+        for r in self.records.iter_mut().rev() {
+            if r.frame + LADDER_LOOKAHEAD_FRAMES < d {
+                break;
             }
-            if let Some(stage) = Stage::ALL.iter().find(|s| s.label() == span.name) {
-                stage_ms[stage.index()] += span.end_ms - span.start_ms;
+            if r.frame <= d && r.cause == MissCause::NpuThrottle {
+                r.cause = MissCause::LadderLag;
+                r.detail.push_str(", ladder still descending");
             }
-        }
-        // the umbrella's extent is exactly the upscale critical path
-        // (slower of the NPU/GPU legs plus the merge); fall back to the
-        // legs' envelope for traces without the synthetic umbrella
-        let critical_ms = match umbrella {
-            Some((lo, hi)) => hi - lo,
-            None => {
-                let legs = [Stage::NpuSr, Stage::GpuInterp, Stage::Merge];
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for span in &f.spans {
-                    if legs.iter().any(|s| s.label() == span.name) {
-                        lo = lo.min(span.start_ms);
-                        hi = hi.max(span.end_ms);
-                    }
-                }
-                if hi > lo {
-                    hi - lo
-                } else {
-                    0.0
-                }
-            }
-        };
-        let miss_ts_ms = f
-            .instants
-            .iter()
-            .find(|i| i.kind == InstantKind::DeadlineMiss)
-            .map_or_else(|| umbrella.map_or(0.0, |(_, hi)| hi), |i| i.ts_ms);
-        let drop_cause = f.instants.iter().find_map(|i| {
-            if i.kind == InstantKind::Drop {
-                i.detail
-                    .rsplit_once(": ")
-                    .map(|(_, label)| label.to_owned())
-            } else {
-                None
-            }
-        });
-        let frozen = stage_ms[Stage::Decode.index()] == 0.0
-            && stage_ms[Stage::NpuSr.index()] == 0.0
-            && stage_ms[Stage::GpuInterp.index()] == 0.0
-            && stage_ms[Stage::Merge.index()] == 0.0;
-        FrameFacts {
-            frame: f.frame,
-            deadline_met: f.deadline_met,
-            frozen,
-            critical_ms,
-            miss_ts_ms,
-            stage_ms,
-            faults: active_faults.to_vec(),
-            drop_cause,
         }
     }
 
     /// The decision tree for one missed frame.
-    fn judge(
-        &self,
-        f: &FrameFacts,
-        baselines: &[Option<f64>; Stage::COUNT],
-        downgrade_frames: &[u64],
-    ) -> (MissCause, String) {
-        let stage = |s: Stage| f.stage_ms[s.index()];
-        let baseline = |s: Stage| baselines[s.index()];
+    fn judge(&self, f: &FrameFacts, critical_ms: f64, budget_ms: f64) -> (MissCause, String) {
+        let stage = |s: Stage| f.stage(s);
+        let baseline = |s: Stage| self.baselines[s.index()];
         // elevated: the span exceeds its rolling baseline (or the baseline
         // is still unknown, in which case the fault correlation decides)
         let elevated = |s: Stage| {
@@ -555,27 +518,18 @@ impl Attributor {
             ),
             _ => format!("{} {:.2} ms (no baseline yet)", s.label(), stage(s)),
         };
-        let fault = |name: &str| f.faults.iter().any(|l| l == name);
+        let fault = |name: &str| self.active_faults.iter().any(|l| l == name);
         let upscale_over = !crate::deadline_met(
             stage(Stage::NpuSr).max(stage(Stage::GpuInterp)) + stage(Stage::Merge),
-            self.budget_ms,
+            budget_ms,
         );
 
         if fault("npu-throttle") && (elevated(Stage::NpuSr) || upscale_over) {
-            // ladder hindsight: a downgrade at or shortly after this frame
-            // means the controller was still descending toward a rung that
-            // absorbs the throttle — the reaction, not the NPU, is to blame
-            let lagging = downgrade_frames
-                .iter()
-                .any(|&d| d >= f.frame && d <= f.frame + LADDER_LOOKAHEAD_FRAMES);
-            let evidence = format!("{}, npu-throttle active", vs_baseline(Stage::NpuSr));
-            if lagging {
-                return (
-                    MissCause::LadderLag,
-                    format!("{evidence}, ladder still descending"),
-                );
-            }
-            return (MissCause::NpuThrottle, evidence);
+            // a later downgrade may still relabel this as ladder lag
+            return (
+                MissCause::NpuThrottle,
+                format!("{}, npu-throttle active", vs_baseline(Stage::NpuSr)),
+            );
         }
         if fault("decoder-crash") || f.drop_cause.as_deref() == Some("decoder-down") {
             return (
@@ -612,8 +566,8 @@ impl Attributor {
                 MissCause::SrOverrun,
                 format!(
                     "upscale critical path {:.2} ms > budget {:.2} ms with no fault active ({})",
-                    f.critical_ms,
-                    self.budget_ms,
+                    critical_ms,
+                    budget_ms,
                     vs_baseline(Stage::NpuSr)
                 ),
             );
@@ -622,9 +576,124 @@ impl Attributor {
             MissCause::Unknown,
             format!(
                 "no stage elevated and no fault active (critical {:.2} ms, budget {:.2} ms)",
-                f.critical_ms, self.budget_ms
+                critical_ms, budget_ms
             ),
         )
+    }
+}
+
+/// A [`Sink`] that attributes every deadline miss and frozen stall of the
+/// session it is attached to, as the frames close.
+///
+/// Cloning shares the state (the [`crate::MemorySink`] pattern): hand one
+/// clone to the recorder and read [`Attributor::attribution`] from the
+/// other. A `SessionStart` starts over, so the verdict is always the
+/// latest session's. A frame is judged at its `FrameEnd`, so its drop and
+/// deadline-miss instants must arrive before it (the session step records
+/// them there); of the instants that arrive after it, only a ladder
+/// downgrade still acts on the misses already judged, and a fault change
+/// applies from the next frame on.
+#[derive(Debug, Clone)]
+pub struct Attributor {
+    budget_ms: f64,
+    state: Arc<Mutex<AttributionState>>,
+}
+
+impl Attributor {
+    /// An attributor judging frames against `budget_ms`.
+    pub fn new(budget_ms: f64) -> Self {
+        Attributor {
+            budget_ms,
+            state: Arc::default(),
+        }
+    }
+
+    /// The verdict over every frame closed so far.
+    pub fn attribution(&self) -> SessionAttribution {
+        let state = self.state.lock().expect("attributor poisoned");
+        // tallied from the records in frame order, after any relabelling,
+        // so the float sums are those of a single pass over the misses
+        let mut hists: Vec<Histogram> = (0..MissCause::COUNT)
+            .map(|_| Histogram::latency_ms())
+            .collect();
+        let mut tallies: Vec<(u64, f64, u64, f64)> = vec![(0, 0.0, 0, 0.0); MissCause::COUNT];
+        for r in &state.records {
+            let idx = r.cause.index();
+            hists[idx].record(r.overrun_ms);
+            let t = &mut tallies[idx];
+            t.0 += 1;
+            t.1 += r.overrun_ms;
+            if r.overrun_ms > t.3 || t.0 == 1 {
+                t.2 = r.frame;
+                t.3 = r.overrun_ms;
+            }
+        }
+        let blame = MissCause::ALL
+            .iter()
+            .filter(|c| tallies[c.index()].0 > 0)
+            .map(|&cause| {
+                let (n, total, worst_frame, worst) = tallies[cause.index()];
+                BlameEntry {
+                    cause,
+                    misses: n,
+                    total_overrun_ms: total,
+                    worst_frame,
+                    worst_overrun_ms: worst,
+                    overrun: hists[cause.index()].summary(),
+                }
+            })
+            .collect();
+        let stalls = MissCause::ALL
+            .iter()
+            .filter(|c| state.stall_frames[c.index()] > 0)
+            .map(|&cause| StallEntry {
+                cause,
+                frames: state.stall_frames[cause.index()],
+                longest_run: state.stall_longest[cause.index()],
+            })
+            .collect();
+        SessionAttribution {
+            label: state.label.clone(),
+            frames: state.frames,
+            misses: state.records.len() as u64,
+            blame,
+            stalls,
+            records: state.records.clone(),
+        }
+    }
+}
+
+impl Sink for Attributor {
+    fn emit(&mut self, event: &Event) {
+        let mut state = self.state.lock().expect("attributor poisoned");
+        match event {
+            Event::SessionStart { label, .. } => {
+                *state = AttributionState {
+                    label: label.clone(),
+                    ..AttributionState::default()
+                };
+            }
+            Event::FrameStart { frame } => {
+                // a dangling open frame (no FrameEnd) closes as a miss
+                state.close(false, self.budget_ms);
+                state.open_frame(*frame);
+            }
+            Event::Span {
+                frame,
+                stage,
+                start_ms,
+                end_ms,
+            } => state.open_frame(*frame).span(*stage, *start_ms, *end_ms),
+            Event::Instant {
+                frame,
+                kind,
+                ts_ms,
+                detail,
+            } => state.instant(*frame, *kind, *ts_ms, detail),
+            Event::FrameEnd { deadline_met, .. } => state.close(*deadline_met, self.budget_ms),
+            Event::SessionEnd { .. } => state.close(false, self.budget_ms),
+            Event::Count { .. } | Event::Gauge { .. } | Event::Log { .. } => {}
+        }
     }
 }
 
@@ -641,84 +710,104 @@ fn drop_label_to_cause(label: &str) -> Option<MissCause> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceInstant, TraceSpan};
 
-    fn span(id: u32, name: &str, start: f64, end: f64) -> TraceSpan {
-        TraceSpan {
-            id,
-            parent: if id == 0 { None } else { Some(0) },
-            name: name.to_owned(),
-            lane: 0,
-            start_ms: start,
-            end_ms: end,
+    type Spans<'a> = &'a [(Stage, f64, f64)];
+
+    /// An attributor that has seen the session start.
+    fn attributor() -> Attributor {
+        let mut att = Attributor::new(crate::REALTIME_BUDGET_MS);
+        att.emit(&Event::SessionStart {
+            label: "test".to_owned(),
+            budget_ms: crate::REALTIME_BUDGET_MS,
+        });
+        att
+    }
+
+    fn instant(att: &mut Attributor, frame: u64, kind: InstantKind, ts_ms: f64, detail: &str) {
+        att.emit(&Event::Instant {
+            frame,
+            kind,
+            ts_ms,
+            detail: detail.to_owned(),
+        });
+    }
+
+    /// Streams one frame: its spans, then its instants, then the verdict.
+    fn frame(
+        att: &mut Attributor,
+        i: u64,
+        deadline_met: bool,
+        spans: Spans<'_>,
+        instants: &[(InstantKind, f64, &str)],
+    ) {
+        att.emit(&Event::FrameStart { frame: i });
+        for &(stage, start_ms, end_ms) in spans {
+            att.emit(&Event::Span {
+                frame: i,
+                stage,
+                start_ms,
+                end_ms,
+            });
         }
+        for &(kind, ts_ms, detail) in instants {
+            instant(att, i, kind, ts_ms, detail);
+        }
+        att.emit(&Event::FrameEnd {
+            frame: i,
+            mtp_ms: 0.0,
+            bytes: 0,
+            deadline_met,
+        });
     }
 
     /// A healthy frame: 4 ms NPU leg, 2 ms GPU leg, 1 ms merge.
-    fn good_frame(i: u64, t0: f64) -> TraceFrame {
-        TraceFrame {
-            frame: i,
-            trace_id: i,
-            deadline_met: true,
-            spans: vec![
-                span(0, "frame", t0, t0 + 16.0),
-                span(1, "decode", t0, t0 + 3.0),
-                span(2, "npu-sr", t0 + 3.0, t0 + 7.0),
-                span(3, "gpu-interp", t0 + 3.0, t0 + 5.0),
-                span(4, "merge", t0 + 7.0, t0 + 8.0),
-                span(5, UPSCALE_SPAN, t0 + 3.0, t0 + 8.0),
-            ],
-            instants: vec![],
-        }
+    fn good_frame(att: &mut Attributor, i: u64, t0: f64) {
+        let spans = [
+            (Stage::Decode, t0, t0 + 3.0),
+            (Stage::NpuSr, t0 + 3.0, t0 + 7.0),
+            (Stage::GpuInterp, t0 + 3.0, t0 + 5.0),
+            (Stage::Merge, t0 + 7.0, t0 + 8.0),
+        ];
+        frame(att, i, true, &spans, &[]);
     }
 
-    /// A missed frame whose NPU leg ran `npu_ms` (baseline is 4 ms).
-    fn miss_frame(i: u64, t0: f64, npu_ms: f64) -> TraceFrame {
-        TraceFrame {
-            frame: i,
-            trace_id: i,
-            deadline_met: false,
-            spans: vec![
-                span(0, "frame", t0, t0 + 16.0 + npu_ms),
-                span(1, "decode", t0, t0 + 3.0),
-                span(2, "npu-sr", t0 + 3.0, t0 + 3.0 + npu_ms),
-                span(3, "gpu-interp", t0 + 3.0, t0 + 5.0),
-                span(4, "merge", t0 + 3.0 + npu_ms, t0 + 4.0 + npu_ms),
-                span(5, UPSCALE_SPAN, t0 + 3.0, t0 + 4.0 + npu_ms),
-            ],
-            instants: vec![TraceInstant {
-                kind: InstantKind::DeadlineMiss,
-                ts_ms: t0 + 4.0 + npu_ms,
-                detail: "critical path over budget".to_owned(),
-            }],
-        }
-    }
-
-    fn fault_instant(detail: &str, ts: f64) -> TraceInstant {
-        TraceInstant {
-            kind: InstantKind::Fault,
-            ts_ms: ts,
-            detail: detail.to_owned(),
-        }
-    }
-
-    fn session(frames: Vec<TraceFrame>) -> TraceSession {
-        TraceSession {
-            label: "test".to_owned(),
-            pid: 1,
-            frames,
-        }
+    /// A missed frame whose NPU leg ran `npu_ms` (baseline is 4 ms), plus
+    /// `faults` as its fault instant when non-empty.
+    fn miss_frame(att: &mut Attributor, i: u64, t0: f64, npu_ms: f64, faults: &str) {
+        let spans = [
+            (Stage::Decode, t0, t0 + 3.0),
+            (Stage::NpuSr, t0 + 3.0, t0 + 3.0 + npu_ms),
+            (Stage::GpuInterp, t0 + 3.0, t0 + 5.0),
+            (Stage::Merge, t0 + 3.0 + npu_ms, t0 + 4.0 + npu_ms),
+        ];
+        let miss = (
+            InstantKind::DeadlineMiss,
+            t0 + 4.0 + npu_ms,
+            "critical path over budget",
+        );
+        let fault = (InstantKind::Fault, t0, faults);
+        let instants = if faults.is_empty() {
+            vec![miss]
+        } else {
+            vec![miss, fault]
+        };
+        frame(att, i, false, &spans, &instants);
     }
 
     #[test]
     fn throttled_miss_is_blamed_on_the_npu() {
-        let mut frames: Vec<TraceFrame> =
-            (0..20).map(|i| good_frame(i, i as f64 * 16.67)).collect();
-        let mut bad = miss_frame(20, 20.0 * 16.67, 20.0);
-        bad.instants
-            .push(fault_instant("faults active: npu-throttle", 20.0 * 16.67));
-        frames.push(bad);
-        let a = Attributor::new(crate::REALTIME_BUDGET_MS).attribute(&session(frames));
+        let mut att = attributor();
+        for i in 0..20 {
+            good_frame(&mut att, i, i as f64 * 16.67);
+        }
+        miss_frame(
+            &mut att,
+            20,
+            20.0 * 16.67,
+            20.0,
+            "faults active: npu-throttle",
+        );
+        let a = att.attribution();
         assert_eq!(a.misses, 1);
         assert_eq!(a.records[0].cause, MissCause::NpuThrottle);
         assert!(a.records[0].detail.contains("vs baseline"));
@@ -731,31 +820,48 @@ mod tests {
 
     #[test]
     fn miss_before_a_downgrade_is_ladder_lag() {
-        let mut frames: Vec<TraceFrame> =
-            (0..20).map(|i| good_frame(i, i as f64 * 16.67)).collect();
-        let mut bad = miss_frame(20, 20.0 * 16.67, 20.0);
-        bad.instants
-            .push(fault_instant("faults active: npu-throttle", 20.0 * 16.67));
-        frames.push(bad);
-        let mut after = good_frame(22, 22.0 * 16.67);
-        after.instants.push(TraceInstant {
-            kind: InstantKind::LadderShift,
-            ts_ms: 22.0 * 16.67,
-            detail: "ladder down: rung 0 -> 1 (fp16, roi 416 px, rate x0.85)".to_owned(),
-        });
-        frames.push(after);
-        let a = Attributor::new(crate::REALTIME_BUDGET_MS).attribute(&session(frames));
+        let mut att = attributor();
+        for i in 0..20 {
+            good_frame(&mut att, i, i as f64 * 16.67);
+        }
+        miss_frame(
+            &mut att,
+            20,
+            20.0 * 16.67,
+            20.0,
+            "faults active: npu-throttle",
+        );
+        good_frame(&mut att, 22, 22.0 * 16.67);
+        assert_eq!(att.attribution().records[0].cause, MissCause::NpuThrottle);
+        // the controller decides after frame 22 closes
+        instant(
+            &mut att,
+            22,
+            InstantKind::LadderShift,
+            22.0 * 16.67,
+            "ladder down: rung 0 -> 1 (fp16, roi 416 px, rate x0.85)",
+        );
+        let a = att.attribution();
         assert_eq!(a.records[0].cause, MissCause::LadderLag);
+        assert!(a.records[0]
+            .detail
+            .ends_with("npu-throttle active, ladder still descending"));
     }
 
     #[test]
     fn faultless_overrun_is_sr_overrun_and_no_spans_is_unknown() {
-        let mut frames: Vec<TraceFrame> = (0..5).map(|i| good_frame(i, i as f64 * 16.67)).collect();
-        frames.push(miss_frame(5, 5.0 * 16.67, 18.0));
-        let mut bare = miss_frame(6, 6.0 * 16.67, 18.0);
-        bare.spans.clear();
-        frames.push(bare);
-        let a = Attributor::new(crate::REALTIME_BUDGET_MS).attribute(&session(frames));
+        let mut att = attributor();
+        for i in 0..5 {
+            good_frame(&mut att, i, i as f64 * 16.67);
+        }
+        miss_frame(&mut att, 5, 5.0 * 16.67, 18.0, "");
+        let miss = (
+            InstantKind::DeadlineMiss,
+            6.0 * 16.67 + 22.0,
+            "critical path over budget",
+        );
+        frame(&mut att, 6, false, &[], &[miss]);
+        let a = att.attribution();
         assert_eq!(a.misses, 2);
         assert_eq!(a.records[0].cause, MissCause::SrOverrun);
         assert_eq!(a.records[1].cause, MissCause::Unknown);
@@ -765,26 +871,15 @@ mod tests {
 
     #[test]
     fn frozen_slots_are_ledgered_by_drop_cause() {
-        let mut frames: Vec<TraceFrame> = vec![good_frame(0, 0.0)];
+        let mut att = attributor();
+        good_frame(&mut att, 0, 0.0);
         for i in 1..4u64 {
             let t0 = i as f64 * 16.67;
-            let mut frozen = TraceFrame {
-                frame: i,
-                trace_id: i,
-                deadline_met: true,
-                spans: vec![span(0, "frame", t0, t0 + 1.0)],
-                instants: vec![],
-            };
-            if i == 1 {
-                frozen.instants.push(TraceInstant {
-                    kind: InstantKind::Drop,
-                    ts_ms: t0,
-                    detail: "frame dropped: queue-overflow".to_owned(),
-                });
-            }
-            frames.push(frozen);
+            let drop = [(InstantKind::Drop, t0, "frame dropped: queue-overflow")];
+            let instants: &[_] = if i == 1 { &drop } else { &[] };
+            frame(&mut att, i, true, &[], instants);
         }
-        let a = Attributor::new(crate::REALTIME_BUDGET_MS).attribute(&session(frames));
+        let a = att.attribution();
         assert_eq!(a.misses, 0);
         assert_eq!(a.stalls.len(), 1);
         assert_eq!(a.stalls[0].cause, MissCause::QueueOverflow);
@@ -811,13 +906,16 @@ mod tests {
 
     #[test]
     fn attribution_json_is_deterministic_and_parses() {
-        let mut frames: Vec<TraceFrame> =
-            (0..10).map(|i| good_frame(i, i as f64 * 16.67)).collect();
-        frames.push(miss_frame(10, 10.0 * 16.67, 19.0));
-        let s = session(frames);
-        let att = Attributor::new(crate::REALTIME_BUDGET_MS);
-        let a = att.attribute(&s).to_json();
-        assert_eq!(a, att.attribute(&s).to_json());
+        let run = || {
+            let mut att = attributor();
+            for i in 0..10 {
+                good_frame(&mut att, i, i as f64 * 16.67);
+            }
+            miss_frame(&mut att, 10, 10.0 * 16.67, 19.0, "");
+            att.attribution().to_json()
+        };
+        let a = run();
+        assert_eq!(a, run());
         let parsed = crate::json::parse(&a).expect("attribution json parses");
         assert_eq!(parsed.get("misses").and_then(|v| v.as_f64()), Some(1.0));
     }

@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use attribution::{Attributor, BlameEntry, MissCause, MissRecord, SessionAttribution};
 pub use hist::{DistSummary, Exemplar, Histogram, BUCKETS};
-pub use recorder::{Recorder, TelemetryError, MAX_SPAN_DEPTH};
+pub use recorder::Recorder;
 pub use sampling::{
     compute_exemplars, enforce_fleet_cap, KeepReason, SamplingPolicy, SamplingStats,
     SamplingSummary, SamplingTraceSink, SessionExemplars, TraceBudget,

@@ -468,7 +468,7 @@ mod tests {
             rec.record_span(Stage::NpuSr, i as f64 * 16.67, 4.0);
             rec.gauge(Gauge::LadderRung, 1.0);
             rec.incr(Counter::FramesEncoded);
-            rec.end_frame(12.0, 4.0, 1000).unwrap();
+            rec.end_frame(12.0, 4.0, 1000);
         }
         rec.finish()
     }

@@ -2,82 +2,21 @@
 //! pipeline.
 //!
 //! A [`Recorder`] owns fixed-size aggregate state (one histogram per stage,
-//! counter and gauge arrays, an inline span stack), so the per-frame hot
-//! path performs no heap allocation. When a [`SinkHandle`] is attached it
-//! additionally streams fine-grained [`Event`]s; without one, recording is
-//! pure array arithmetic.
+//! counter and gauge arrays), so the per-frame hot path performs no heap
+//! allocation. When a [`SinkHandle`] is attached it additionally streams
+//! fine-grained [`Event`]s; without one, recording is pure array
+//! arithmetic.
 //!
-//! Two span APIs coexist deliberately:
-//!
-//! - [`Recorder::record_span`] is a one-shot `(stage, start, duration)`
-//!   record. The simulated pipeline has genuinely *overlapping* stages (RoI
-//!   search overlaps encode on the server; NPU super-resolution runs in
-//!   parallel with GPU interpolation on the client), which a strict stack
-//!   cannot express, so the pipeline integration uses this form.
-//! - [`Recorder::span_open`] / [`Recorder::span_close`] is a checked
-//!   LIFO bracket API for callers with properly nested phases; it reports
-//!   imbalance, mismatched closes and overflow as typed errors, and
-//!   [`Recorder::end_frame`] refuses to close a frame with spans still open.
+//! Spans are one-shot `(stage, start, duration)` records
+//! ([`Recorder::record_span`]): the simulated pipeline has genuinely
+//! *overlapping* stages (RoI search overlaps encode on the server; NPU
+//! super-resolution runs in parallel with GPU interpolation on the
+//! client), which a strict open/close stack cannot express.
 
 use crate::hist::Histogram;
 use crate::sink::{Event, InstantKind, Level, SinkHandle};
 use crate::summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
 use crate::{Counter, Gauge, GaugeStat, Stage};
-
-/// Maximum depth of the checked span stack. Ten pipeline stages with a
-/// couple of synthetic wrappers fit comfortably; deeper nesting is a bug.
-pub const MAX_SPAN_DEPTH: usize = 16;
-
-/// Errors surfaced by the checked span API.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TelemetryError {
-    /// `span_open` would exceed [`MAX_SPAN_DEPTH`].
-    SpanOverflow {
-        /// The stage whose open was rejected.
-        stage: Stage,
-    },
-    /// `span_close` was called with no span open.
-    SpanUnderflow {
-        /// The stage whose close was rejected.
-        stage: Stage,
-    },
-    /// `span_close` named a different stage than the innermost open span.
-    SpanMismatch {
-        /// The innermost open stage that should have been closed.
-        expected: Stage,
-        /// The stage the caller tried to close.
-        found: Stage,
-    },
-    /// `end_frame` was called with spans still open.
-    UnbalancedSpans {
-        /// How many spans were still open.
-        open: usize,
-    },
-}
-
-impl std::fmt::Display for TelemetryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TelemetryError::SpanOverflow { stage } => {
-                write!(f, "span stack overflow opening {}", stage.label())
-            }
-            TelemetryError::SpanUnderflow { stage } => {
-                write!(f, "span close for {} with no span open", stage.label())
-            }
-            TelemetryError::SpanMismatch { expected, found } => write!(
-                f,
-                "span close mismatch: expected {}, found {}",
-                expected.label(),
-                found.label()
-            ),
-            TelemetryError::UnbalancedSpans { open } => {
-                write!(f, "frame ended with {open} span(s) still open")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TelemetryError {}
 
 /// Frame-scoped telemetry recorder. See the module docs for the design.
 #[derive(Debug)]
@@ -93,8 +32,6 @@ pub struct Recorder {
     bytes_hist: Histogram,
     counters: [u64; Counter::COUNT],
     gauges: [GaugeStat; Gauge::COUNT],
-    stack: [(Stage, f64); MAX_SPAN_DEPTH],
-    depth: usize,
 }
 
 impl Recorder {
@@ -112,8 +49,6 @@ impl Recorder {
             bytes_hist: Histogram::bytes(),
             counters: [0; Counter::COUNT],
             gauges: [GaugeStat::default(); Gauge::COUNT],
-            stack: [(Stage::Render, 0.0); MAX_SPAN_DEPTH],
-            depth: 0,
         }
     }
 
@@ -149,11 +84,6 @@ impl Recorder {
         self.mtp_hist.exemplar()
     }
 
-    /// How many spans are currently open on the checked stack.
-    pub fn open_spans(&self) -> usize {
-        self.depth
-    }
-
     fn emit(&self, event: Event) {
         if let Some(sink) = &self.sink {
             sink.emit(&event);
@@ -181,33 +111,6 @@ impl Recorder {
                 end_ms: start_ms + duration_ms,
             });
         }
-    }
-
-    /// Opens a checked span for `stage` at `start_ms`.
-    pub fn span_open(&mut self, stage: Stage, start_ms: f64) -> Result<(), TelemetryError> {
-        if self.depth == MAX_SPAN_DEPTH {
-            return Err(TelemetryError::SpanOverflow { stage });
-        }
-        self.stack[self.depth] = (stage, start_ms);
-        self.depth += 1;
-        Ok(())
-    }
-
-    /// Closes the innermost open span, which must be `stage`, at `end_ms`.
-    pub fn span_close(&mut self, stage: Stage, end_ms: f64) -> Result<(), TelemetryError> {
-        if self.depth == 0 {
-            return Err(TelemetryError::SpanUnderflow { stage });
-        }
-        let (open_stage, start_ms) = self.stack[self.depth - 1];
-        if open_stage != stage {
-            return Err(TelemetryError::SpanMismatch {
-                expected: open_stage,
-                found: stage,
-            });
-        }
-        self.depth -= 1;
-        self.record_span(stage, start_ms, (end_ms - start_ms).max(0.0));
-        Ok(())
     }
 
     /// Increments `counter` by one.
@@ -270,7 +173,7 @@ impl Recorder {
 
     /// Closes the current frame: records whole-frame motion-to-photon time
     /// and wire bytes, checks the deadline, and returns whether the frame
-    /// met it. Fails if checked spans are still open.
+    /// met it.
     ///
     /// `mtp_ms` is the end-to-end motion-to-photon latency (histogrammed);
     /// `critical_ms` is the per-frame critical path of the pipelined stage
@@ -278,15 +181,7 @@ impl Recorder {
     /// budget judges: a 60 FPS pipeline must *finish a frame* every
     /// 16.66 ms even though each frame's end-to-end latency is longer.
     /// Callers without that distinction can pass the same value for both.
-    pub fn end_frame(
-        &mut self,
-        mtp_ms: f64,
-        critical_ms: f64,
-        bytes: u64,
-    ) -> Result<bool, TelemetryError> {
-        if self.depth != 0 {
-            return Err(TelemetryError::UnbalancedSpans { open: self.depth });
-        }
+    pub fn end_frame(&mut self, mtp_ms: f64, critical_ms: f64, bytes: u64) -> bool {
         // Tag the MTP sample with the frame number so the worst frame is
         // recoverable as an exemplar (the exporter upgrades it to a full
         // trace id once the session's pid is known).
@@ -308,7 +203,7 @@ impl Recorder {
                 deadline_met,
             });
         }
-        Ok(deadline_met)
+        deadline_met
     }
 
     /// Builds the aggregate summary without consuming the recorder.
@@ -377,7 +272,7 @@ mod tests {
             rec.add(Counter::BytesOnWire, 1000);
             rec.gauge(Gauge::RoiAreaPx, 128.0 * 128.0);
             let mtp = if frame == 9 { 20.0 } else { 10.0 };
-            let met = rec.end_frame(mtp, mtp, 1000).unwrap();
+            let met = rec.end_frame(mtp, mtp, 1000);
             assert_eq!(met, frame != 9);
         }
         let s = rec.summary();
@@ -399,74 +294,11 @@ mod tests {
         assert_eq!(rec.worst_frame(), None);
         for (frame, mtp) in [(0u64, 14.0), (1, 31.5), (2, 12.0)] {
             rec.begin_frame(frame);
-            rec.end_frame(mtp, mtp, 100).unwrap();
+            rec.end_frame(mtp, mtp, 100);
         }
         let worst = rec.worst_frame().unwrap();
         assert_eq!(worst.trace_id, 1);
         assert_eq!(worst.value, 31.5);
-    }
-
-    #[test]
-    fn checked_spans_balance() {
-        let mut rec = Recorder::new("unit", 16.0);
-        rec.begin_frame(0);
-        rec.span_open(Stage::Decode, 0.0).unwrap();
-        rec.span_open(Stage::NpuSr, 1.0).unwrap();
-        assert_eq!(rec.open_spans(), 2);
-        rec.span_close(Stage::NpuSr, 4.0).unwrap();
-        rec.span_close(Stage::Decode, 5.0).unwrap();
-        assert_eq!(rec.open_spans(), 0);
-        assert!(rec.end_frame(5.0, 5.0, 0).is_ok());
-        let s = rec.summary();
-        assert_eq!(s.stage(Stage::NpuSr).unwrap().dist.p95, 3.0);
-        assert_eq!(s.stage(Stage::Decode).unwrap().dist.p95, 5.0);
-    }
-
-    #[test]
-    fn mismatched_close_is_reported() {
-        let mut rec = Recorder::new("unit", 16.0);
-        rec.span_open(Stage::Decode, 0.0).unwrap();
-        let err = rec.span_close(Stage::Merge, 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            TelemetryError::SpanMismatch {
-                expected: Stage::Decode,
-                found: Stage::Merge
-            }
-        );
-        // The mismatched close must not pop the stack.
-        assert_eq!(rec.open_spans(), 1);
-    }
-
-    #[test]
-    fn underflow_and_overflow_are_reported() {
-        let mut rec = Recorder::new("unit", 16.0);
-        assert_eq!(
-            rec.span_close(Stage::Render, 1.0).unwrap_err(),
-            TelemetryError::SpanUnderflow {
-                stage: Stage::Render
-            }
-        );
-        for i in 0..MAX_SPAN_DEPTH {
-            rec.span_open(Stage::Render, i as f64).unwrap();
-        }
-        assert_eq!(
-            rec.span_open(Stage::Render, 99.0).unwrap_err(),
-            TelemetryError::SpanOverflow {
-                stage: Stage::Render
-            }
-        );
-    }
-
-    #[test]
-    fn end_frame_rejects_open_spans() {
-        let mut rec = Recorder::new("unit", 16.0);
-        rec.begin_frame(0);
-        rec.span_open(Stage::Render, 0.0).unwrap();
-        assert_eq!(
-            rec.end_frame(5.0, 5.0, 0).unwrap_err(),
-            TelemetryError::UnbalancedSpans { open: 1 }
-        );
     }
 
     #[test]
@@ -476,7 +308,7 @@ mod tests {
         rec.begin_frame(0);
         rec.record_span(Stage::Render, 0.0, 4.0);
         rec.incr(Counter::FramesEncoded);
-        rec.end_frame(10.0, 10.0, 500).unwrap();
+        rec.end_frame(10.0, 10.0, 500);
         rec.finish();
         let events = mem.events();
         assert!(matches!(events[0], Event::SessionStart { .. }));
@@ -514,7 +346,7 @@ mod tests {
         let mut rec = Recorder::new("inst", 16.0).with_sink(SinkHandle::new(mem.clone()));
         rec.begin_frame(7);
         rec.instant(InstantKind::Nack, 120.25, "block 3");
-        rec.end_frame(1.0, 1.0, 0).unwrap();
+        rec.end_frame(1.0, 1.0, 0);
         let events = mem.events();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -531,7 +363,7 @@ mod tests {
         let mut rec = Recorder::new("quiet", 16.0);
         rec.begin_frame(0);
         rec.record_span(Stage::Render, 0.0, 4.0);
-        rec.end_frame(4.0, 4.0, 100).unwrap();
+        rec.end_frame(4.0, 4.0, 100);
         let s = rec.finish();
         assert_eq!(s.frames, 1);
         assert!(s.stage(Stage::Render).is_some());
@@ -548,8 +380,7 @@ mod tests {
                 rec.record_span(Stage::NpuSr, 8.0, 6.1 + wobble);
                 rec.gauge(Gauge::RoiAreaPx, 96.0 * 96.0 + wobble);
                 rec.add(Counter::BytesOnWire, 900 + frame);
-                rec.end_frame(14.0 + wobble, 14.0 + wobble, 900 + frame)
-                    .unwrap();
+                rec.end_frame(14.0 + wobble, 14.0 + wobble, 900 + frame);
             }
             rec.finish().to_json()
         };

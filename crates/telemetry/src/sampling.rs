@@ -20,10 +20,12 @@
 //!
 //! Classification is **deferred by one frame**: the controller runs *after*
 //! `end_frame`, so ladder-shift (and similar) instants attach to the frame
-//! that just closed. The sampler therefore parks each closed frame in a
-//! one-slot buffer and only classifies it when the next `FrameStart` (or
+//! that just closed. The frame assembler the sampler shares with
+//! [`crate::TraceSink`] therefore parks each closed frame in a one-slot
+//! buffer and only hands it over when the next `FrameStart` (or
 //! `SessionEnd`) proves no more instants can arrive. This is what makes
-//! anomaly coverage exact rather than racy.
+//! anomaly coverage exact rather than racy, and a retained frame
+//! structurally identical to its full-trace counterpart.
 //!
 //! A [`TraceBudget`] bounds memory: a per-session cap plus a fleet-wide cap
 //! (enforced serially via [`enforce_fleet_cap`]). Eviction under budget
@@ -44,8 +46,7 @@ use std::sync::{Arc, Mutex};
 use crate::hist::{Exemplar, Histogram};
 use crate::json::json_f64;
 use crate::sink::{Event, Sink};
-use crate::trace::{build_frame, chrome_trace_json_ext, CounterTrack, OpenFrame, TraceSession};
-use crate::trace::{TraceFrame, TraceInstant};
+use crate::trace::{chrome_trace_json_ext, Assembler, CounterTrack, TraceFrame, TraceSession};
 use crate::Stage;
 
 /// Per-session sampling counter-track names, in emission order:
@@ -154,14 +155,9 @@ struct RetainedFrame {
     frame: TraceFrame,
 }
 
+/// One session's sampling state, fed its frames as they settle.
 #[derive(Debug, Default)]
 struct SampledSession {
-    label: String,
-    /// In-flight frame (between `FrameStart` and `FrameEnd`).
-    open: Option<OpenFrame>,
-    /// Closed but not yet classified — waiting for the next `FrameStart`
-    /// to prove no more post-frame instants can attach.
-    closed: Option<TraceFrame>,
     /// Provisional ring of recent unretained frames (backward context).
     ring: VecDeque<TraceFrame>,
     retained: Vec<RetainedFrame>,
@@ -287,24 +283,9 @@ impl SampledSession {
         self.sample_tracks(ts);
     }
 
-    /// Classifies the parked closed frame, if any.
-    fn settle_closed(&mut self, policy: &SamplingPolicy) {
-        if let Some(frame) = self.closed.take() {
-            self.classify(frame, policy);
-        }
-    }
-
-    /// End of session: settle everything, then drain the ring — frames
-    /// that never became context are now definitively evicted.
-    fn finish(&mut self, policy: &SamplingPolicy) {
-        self.settle_closed(policy);
-        if let Some(open) = self.open.take() {
-            // A dangling open frame never saw FrameEnd: close it as a miss
-            // (which also marks it anomalous, so it is retained as
-            // evidence of the truncation).
-            let frame = build_frame(open, false);
-            self.classify(frame, policy);
-        }
+    /// End of session: every frame has settled, so ring frames that never
+    /// became context are now definitively evicted.
+    fn finish(&mut self) {
         let drained = self.ring.len() as u64;
         self.ring.clear();
         self.evicted += drained;
@@ -337,7 +318,7 @@ impl SampledSession {
 #[derive(Debug)]
 struct SampleState {
     policy: SamplingPolicy,
-    sessions: Vec<SampledSession>,
+    assembler: Assembler<SampledSession>,
 }
 
 /// A [`Sink`] that tail-samples the recorder event stream into a bounded
@@ -361,7 +342,7 @@ impl SamplingTraceSink {
         SamplingTraceSink {
             state: Arc::new(Mutex::new(SampleState {
                 policy,
-                sessions: Vec::new(),
+                assembler: Assembler::default(),
             })),
         }
     }
@@ -369,26 +350,6 @@ impl SamplingTraceSink {
     fn with_state<R>(&self, f: impl FnOnce(&mut SampleState) -> R) -> R {
         let mut state = self.state.lock().expect("sampling sink poisoned");
         f(&mut state)
-    }
-
-    fn current(state: &mut SampleState) -> &mut SampledSession {
-        if state.sessions.is_empty() {
-            // Events without a SessionStart (unit tests, bare recorders)
-            // land in an implicit unlabelled session.
-            state.sessions.push(SampledSession::default());
-        }
-        state.sessions.last_mut().expect("session exists")
-    }
-
-    fn open_frame(state: &mut SampleState, frame: u64) -> &mut OpenFrame {
-        let session = Self::current(state);
-        if session.open.is_none() {
-            session.open = Some(OpenFrame {
-                frame,
-                ..OpenFrame::default()
-            });
-        }
-        session.open.as_mut().expect("frame open")
     }
 
     /// The configured keep policy.
@@ -402,21 +363,13 @@ impl SamplingTraceSink {
     pub fn sessions(&self) -> Vec<TraceSession> {
         self.with_state(|state| {
             state
-                .sessions
+                .assembler
+                .sessions()
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let pid = (i + 1) as u64;
-                    let mut frames: Vec<TraceFrame> =
-                        s.retained.iter().map(|r| r.frame.clone()).collect();
-                    for f in &mut frames {
-                        f.trace_id = pid * 1_000_000 + f.frame;
-                    }
-                    TraceSession {
-                        label: s.label.clone(),
-                        pid,
-                        frames,
-                    }
+                    let frames = s.store.retained.iter().map(|r| r.frame.clone()).collect();
+                    TraceSession::new(s.label.clone(), (i + 1) as u64, frames)
                 })
                 .collect()
         })
@@ -427,10 +380,12 @@ impl SamplingTraceSink {
     pub fn keep_reasons(&self) -> Vec<Vec<(u64, KeepReason)>> {
         self.with_state(|state| {
             state
-                .sessions
+                .assembler
+                .sessions()
                 .iter()
                 .map(|s| {
-                    s.retained
+                    s.store
+                        .retained
                         .iter()
                         .map(|r| (r.frame.frame, r.reason))
                         .collect()
@@ -443,8 +398,8 @@ impl SamplingTraceSink {
     pub fn stats(&self) -> SamplingStats {
         self.with_state(|state| {
             let mut total = SamplingStats::default();
-            for s in &state.sessions {
-                let st = s.stats();
+            for s in state.assembler.sessions() {
+                let st = s.store.stats();
                 total.frames += st.frames;
                 total.retained += st.retained;
                 total.evicted += st.evicted;
@@ -460,16 +415,24 @@ impl SamplingTraceSink {
 
     /// Total frames currently retained across sessions.
     pub fn retained_count(&self) -> usize {
-        self.with_state(|state| state.sessions.iter().map(|s| s.retained.len()).sum())
+        self.with_state(|state| {
+            state
+                .assembler
+                .sessions()
+                .iter()
+                .map(|s| s.store.retained.len())
+                .sum()
+        })
     }
 
     /// Frames the fleet cap may still evict (retained baselines).
     pub fn evictable_count(&self) -> usize {
         self.with_state(|state| {
             state
-                .sessions
+                .assembler
+                .sessions()
                 .iter()
-                .flat_map(|s| &s.retained)
+                .flat_map(|s| &s.store.retained)
                 .filter(|r| r.reason == KeepReason::Baseline)
                 .count()
         })
@@ -480,7 +443,8 @@ impl SamplingTraceSink {
     /// Returns `false` when nothing is evictable.
     pub fn evict_oldest_baseline(&self, ts_ms: f64) -> bool {
         self.with_state(|state| {
-            for session in &mut state.sessions {
+            for session in state.assembler.sessions_mut() {
+                let session = &mut session.store;
                 let Some(pos) = session
                     .retained
                     .iter()
@@ -507,9 +471,9 @@ impl SamplingTraceSink {
     pub fn counter_tracks(&self) -> Vec<CounterTrack> {
         self.with_state(|state| {
             let mut out = Vec::new();
-            for (i, s) in state.sessions.iter().enumerate() {
+            for (i, s) in state.assembler.sessions().iter().enumerate() {
                 let pid = (i + 1) as u64;
-                for (name, samples) in SAMPLING_TRACKS.iter().zip(&s.tracks) {
+                for (name, samples) in SAMPLING_TRACKS.iter().zip(&s.store.tracks) {
                     if !samples.is_empty() {
                         out.push(CounterTrack {
                             pid,
@@ -535,82 +499,17 @@ impl SamplingTraceSink {
 impl Sink for SamplingTraceSink {
     fn emit(&mut self, event: &Event) {
         self.with_state(|state| {
-            let policy = state.policy;
-            match event {
-                Event::SessionStart { label, .. } => {
-                    state.sessions.push(SampledSession {
-                        label: label.clone(),
-                        ..SampledSession::default()
-                    });
-                }
-                Event::FrameStart { frame } => {
-                    let session = Self::current(state);
-                    // The previous frame can no longer gain instants.
-                    session.settle_closed(&policy);
-                    if let Some(open) = session.open.take() {
-                        // Dangling open frame: close as a miss, settle now.
-                        let built = build_frame(open, false);
-                        session.classify(built, &policy);
-                    }
-                    session.open = Some(OpenFrame {
-                        frame: *frame,
-                        ..OpenFrame::default()
-                    });
-                }
-                Event::Span {
-                    frame,
-                    stage,
-                    start_ms,
-                    end_ms,
-                } => {
-                    let open = Self::open_frame(state, *frame);
-                    open.spans.push((*stage, *start_ms, *end_ms));
-                }
-                Event::Instant {
-                    frame,
-                    kind,
-                    ts_ms,
-                    detail,
-                } => {
-                    let session = Self::current(state);
-                    let instant = TraceInstant {
-                        kind: *kind,
-                        ts_ms: *ts_ms,
-                        detail: detail.clone(),
-                    };
-                    if let Some(open) = session.open.as_mut() {
-                        open.instants.push(instant);
-                    } else if let Some(closed) = session.closed.as_mut() {
-                        // Post-frame instants (ladder shifts decided after
-                        // end_frame) join the frame that just closed —
-                        // possible only because classification is deferred.
-                        closed.instants.push(instant);
-                    } else {
-                        let open = Self::open_frame(state, *frame);
-                        open.instants.push(instant);
-                    }
-                }
-                Event::FrameEnd {
-                    frame: _,
-                    deadline_met,
-                    ..
-                } => {
-                    let session = Self::current(state);
-                    session.settle_closed(&policy);
-                    if let Some(open) = session.open.take() {
-                        session.closed = Some(build_frame(open, *deadline_met));
-                    }
-                }
-                Event::SessionEnd { .. } => {
-                    let session = Self::current(state);
-                    session.finish(&policy);
-                }
-                Event::Count { .. } | Event::Gauge { .. } | Event::Log { .. } => {}
+            let Some((session, settled)) = state.assembler.feed(event) else {
+                return;
+            };
+            for frame in settled.into_iter().flatten() {
+                session.store.classify(frame, &state.policy);
+            }
+            if matches!(event, Event::SessionEnd { .. }) {
+                session.store.finish();
             }
         });
     }
-
-    fn flush(&mut self) {}
 }
 
 /// Serially enforces the fleet-wide retention cap across a set of sampling
@@ -846,7 +745,7 @@ mod tests {
         if let Some(kind) = kind {
             rec.instant(kind, 10.0, "injected");
         }
-        rec.end_frame(critical_ms + 5.0, critical_ms, 1000).unwrap();
+        rec.end_frame(critical_ms + 5.0, critical_ms, 1000);
     }
 
     fn reasons(sink: &SamplingTraceSink) -> Vec<(u64, KeepReason)> {

@@ -9,6 +9,12 @@
 //! the Chrome trace-event format, loadable in Perfetto or
 //! `chrome://tracing`.
 //!
+//! Frames are built by one crate-private assembler that the tail sampler
+//! ([`crate::SamplingTraceSink`]) feeds too, so a retained frame is
+//! structurally identical to its full-trace counterpart. Instants that
+//! arrive after `FrameEnd` (ladder shifts decided by the post-frame
+//! controller) join the frame that just closed.
+//!
 //! Two structural properties are maintained by construction and asserted
 //! by the workspace property tests:
 //!
@@ -71,7 +77,7 @@ fn stage_lane(stage: Stage) -> u32 {
     }
 }
 
-fn is_upscale_leg(stage: Stage) -> bool {
+pub(crate) fn is_upscale_leg(stage: Stage) -> bool {
     matches!(stage, Stage::NpuSr | Stage::GpuInterp | Stage::Merge)
 }
 
@@ -147,40 +153,155 @@ pub struct TraceSession {
     pub frames: Vec<TraceFrame>,
 }
 
-/// An in-flight frame before `FrameEnd` settles its deadline verdict.
-/// Shared with the sampling sink (`crate::sampling`), which reconstructs
-/// frames from the same event stream via [`build_frame`] so a retained
-/// frame is structurally identical to its full-trace counterpart.
-#[derive(Debug, Default)]
-pub(crate) struct OpenFrame {
-    pub(crate) frame: u64,
-    pub(crate) spans: Vec<(Stage, f64, f64)>,
-    pub(crate) instants: Vec<TraceInstant>,
-}
+impl TraceSession {
+    /// Chrome process `pid` holding `frames`, their trace ids keyed to it.
+    pub fn new(label: String, pid: u64, frames: Vec<TraceFrame>) -> Self {
+        let mut session = TraceSession { label, pid, frames };
+        session.rekey(pid);
+        session
+    }
 
-#[derive(Debug, Default)]
-struct TraceState {
-    sessions: Vec<SessionState>,
-}
-
-#[derive(Debug, Default)]
-struct SessionState {
-    label: String,
-    frames: Vec<TraceFrame>,
-    open: Option<OpenFrame>,
-}
-
-impl SessionState {
-    fn finalize(&mut self, deadline_met: bool) {
-        let Some(open) = self.open.take() else {
-            return;
-        };
-        let frame = build_frame(open, deadline_met);
-        self.frames.push(frame);
+    /// Moves the session to Chrome process `pid`, re-keying every frame's
+    /// trace id (`pid * 1_000_000 + frame`) to match.
+    pub fn rekey(&mut self, pid: u64) {
+        self.pid = pid;
+        for f in &mut self.frames {
+            f.trace_id = pid * 1_000_000 + f.frame;
+        }
     }
 }
 
-pub(crate) fn build_frame(open: OpenFrame, deadline_met: bool) -> TraceFrame {
+/// An in-flight frame before `FrameEnd` settles its deadline verdict.
+#[derive(Debug, Default)]
+struct OpenFrame {
+    frame: u64,
+    spans: Vec<(Stage, f64, f64)>,
+    instants: Vec<TraceInstant>,
+}
+
+/// One session's frames as the [`Assembler`] builds them, beside the
+/// owning sink's per-session state.
+#[derive(Debug, Default)]
+pub(crate) struct AssembledSession<S> {
+    pub(crate) label: String,
+    open: Option<OpenFrame>,
+    /// Closed but not settled: instants that arrive before the next
+    /// `FrameStart` (the controller decides after `end_frame`) still join
+    /// it.
+    closed: Option<TraceFrame>,
+    /// The owning sink's state, fed the settled frames.
+    pub(crate) store: S,
+}
+
+impl<S> AssembledSession<S> {
+    /// The closed frame still accepting post-frame instants, if any.
+    pub(crate) fn unsettled(&self) -> Option<&TraceFrame> {
+        self.closed.as_ref()
+    }
+
+    fn open_frame(&mut self, frame: u64) -> &mut OpenFrame {
+        self.open.get_or_insert_with(|| OpenFrame {
+            frame,
+            ..OpenFrame::default()
+        })
+    }
+
+    /// Settles the closed frame, and closes a dangling open frame (no
+    /// `FrameEnd`) as a miss so its data is not silently lost.
+    fn settle(&mut self) -> [Option<TraceFrame>; 2] {
+        [
+            self.closed.take(),
+            self.open.take().map(|open| build_frame(open, false)),
+        ]
+    }
+}
+
+/// The event → frame state machine both trace sinks feed: per session, the
+/// frame in flight and one closed frame that still accepts post-frame
+/// instants. A frame *settles* once no more instants can join it: when the
+/// next frame starts or closes, or the session ends. `S` is the sink's own
+/// per-session state.
+#[derive(Debug, Default)]
+pub(crate) struct Assembler<S> {
+    sessions: Vec<AssembledSession<S>>,
+}
+
+impl<S: Default> Assembler<S> {
+    pub(crate) fn sessions(&self) -> &[AssembledSession<S>] {
+        &self.sessions
+    }
+
+    pub(crate) fn sessions_mut(&mut self) -> &mut [AssembledSession<S>] {
+        &mut self.sessions
+    }
+
+    /// Feeds one event. A frame event lands in the current session (an
+    /// implicit unlabelled one when no `SessionStart` came first) and
+    /// returns it with the frames the event settled, oldest first.
+    /// Counters, gauges and logs carry no frame data: they return `None`
+    /// and never create a session.
+    pub(crate) fn feed(
+        &mut self,
+        event: &Event,
+    ) -> Option<(&mut AssembledSession<S>, [Option<TraceFrame>; 2])> {
+        match event {
+            Event::Count { .. } | Event::Gauge { .. } | Event::Log { .. } => return None,
+            Event::SessionStart { label, .. } => self.sessions.push(AssembledSession {
+                label: label.clone(),
+                ..AssembledSession::default()
+            }),
+            _ if self.sessions.is_empty() => self.sessions.push(AssembledSession::default()),
+            _ => {}
+        }
+        let session = self.sessions.last_mut().expect("session exists");
+        let mut settled = [None, None];
+        match event {
+            Event::FrameStart { frame } => {
+                settled = session.settle();
+                session.open_frame(*frame);
+            }
+            Event::Span {
+                frame,
+                stage,
+                start_ms,
+                end_ms,
+            } => session
+                .open_frame(*frame)
+                .spans
+                .push((*stage, *start_ms, *end_ms)),
+            Event::Instant {
+                frame,
+                kind,
+                ts_ms,
+                detail,
+            } => {
+                let instant = TraceInstant {
+                    kind: *kind,
+                    ts_ms: *ts_ms,
+                    detail: detail.clone(),
+                };
+                match (&mut session.open, &mut session.closed) {
+                    (Some(open), _) => open.instants.push(instant),
+                    (None, Some(closed)) => closed.instants.push(instant),
+                    (None, None) => session.open_frame(*frame).instants.push(instant),
+                }
+            }
+            Event::FrameEnd { deadline_met, .. } => {
+                if let Some(open) = session.open.take() {
+                    settled[0] = session.closed.replace(build_frame(open, *deadline_met));
+                }
+            }
+            Event::SessionEnd { .. } => settled = session.settle(),
+            Event::SessionStart { .. }
+            | Event::Count { .. }
+            | Event::Gauge { .. }
+            | Event::Log { .. } => {}
+        }
+        Some((session, settled))
+    }
+}
+
+fn build_frame(open: OpenFrame, deadline_met: bool) -> TraceFrame {
     let mut spans = Vec::with_capacity(open.spans.len() + 2);
     // Reserve id 0 for the root; fill its envelope afterwards.
     spans.push(TraceSpan {
@@ -255,7 +376,7 @@ pub(crate) fn build_frame(open: OpenFrame, deadline_met: bool) -> TraceFrame {
 /// other to export after the session finishes.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    state: Arc<Mutex<TraceState>>,
+    state: Arc<Mutex<Assembler<Vec<TraceFrame>>>>,
 }
 
 impl TraceSink {
@@ -264,57 +385,36 @@ impl TraceSink {
         Self::default()
     }
 
-    fn with_state<R>(&self, f: impl FnOnce(&mut TraceState) -> R) -> R {
+    fn with_state<R>(&self, f: impl FnOnce(&mut Assembler<Vec<TraceFrame>>) -> R) -> R {
         let mut state = self.state.lock().expect("trace sink poisoned");
         f(&mut state)
     }
 
-    fn current(state: &mut TraceState) -> &mut SessionState {
-        if state.sessions.is_empty() {
-            // Events without a SessionStart (unit tests, bare recorders)
-            // land in an implicit unlabelled session.
-            state.sessions.push(SessionState::default());
-        }
-        state.sessions.last_mut().expect("session exists")
-    }
-
-    fn open_frame(state: &mut TraceState, frame: u64) -> &mut OpenFrame {
-        let session = Self::current(state);
-        if session.open.is_none() {
-            session.open = Some(OpenFrame {
-                frame,
-                ..OpenFrame::default()
-            });
-        }
-        session.open.as_mut().expect("frame open")
-    }
-
     /// Snapshot of every traced session, with pids and trace ids assigned.
+    /// A closed frame still waiting for post-frame instants is included.
     pub fn sessions(&self) -> Vec<TraceSession> {
         self.with_state(|state| {
             state
-                .sessions
+                .sessions()
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let pid = (i + 1) as u64;
-                    let mut frames = s.frames.clone();
-                    for f in &mut frames {
-                        f.trace_id = pid * 1_000_000 + f.frame;
-                    }
-                    TraceSession {
-                        label: s.label.clone(),
-                        pid,
-                        frames,
-                    }
+                    let frames = s.store.iter().chain(s.unsettled()).cloned().collect();
+                    TraceSession::new(s.label.clone(), (i + 1) as u64, frames)
                 })
                 .collect()
         })
     }
 
-    /// Total completed frames across all sessions.
+    /// Total closed frames across all sessions.
     pub fn frame_count(&self) -> usize {
-        self.with_state(|state| state.sessions.iter().map(|s| s.frames.len()).sum())
+        self.with_state(|state| {
+            state
+                .sessions()
+                .iter()
+                .map(|s| s.store.len() + usize::from(s.unsettled().is_some()))
+                .sum()
+        })
     }
 
     /// Renders the trace as a Chrome trace-event JSON document (the
@@ -512,72 +612,12 @@ pub fn chrome_trace_json_ext(
 
 impl Sink for TraceSink {
     fn emit(&mut self, event: &Event) {
-        self.with_state(|state| match event {
-            Event::SessionStart { label, .. } => {
-                state.sessions.push(SessionState {
-                    label: label.clone(),
-                    ..SessionState::default()
-                });
+        self.with_state(|state| {
+            if let Some((session, settled)) = state.feed(event) {
+                session.store.extend(settled.into_iter().flatten());
             }
-            Event::FrameStart { frame } => {
-                let session = Self::current(state);
-                // A dangling open frame (no FrameEnd) is closed as a miss
-                // so its data is not silently lost.
-                session.finalize(false);
-                session.open = Some(OpenFrame {
-                    frame: *frame,
-                    ..OpenFrame::default()
-                });
-            }
-            Event::Span {
-                frame,
-                stage,
-                start_ms,
-                end_ms,
-            } => {
-                let open = Self::open_frame(state, *frame);
-                open.spans.push((*stage, *start_ms, *end_ms));
-            }
-            Event::Instant {
-                frame,
-                kind,
-                ts_ms,
-                detail,
-            } => {
-                let session = Self::current(state);
-                let instant = TraceInstant {
-                    kind: *kind,
-                    ts_ms: *ts_ms,
-                    detail: detail.clone(),
-                };
-                if let Some(open) = session.open.as_mut() {
-                    open.instants.push(instant);
-                } else if let Some(last) = session.frames.last_mut() {
-                    // Post-frame instants (ladder shifts decided after
-                    // end_frame) attach to the frame that just closed.
-                    last.instants.push(instant);
-                } else {
-                    let open = Self::open_frame(state, *frame);
-                    open.instants.push(instant);
-                }
-            }
-            Event::FrameEnd {
-                frame: _,
-                deadline_met,
-                ..
-            } => {
-                let session = Self::current(state);
-                session.finalize(*deadline_met);
-            }
-            Event::SessionEnd { .. } => {
-                let session = Self::current(state);
-                session.finalize(false);
-            }
-            Event::Count { .. } | Event::Gauge { .. } | Event::Log { .. } => {}
         });
     }
-
-    fn flush(&mut self) {}
 }
 
 #[cfg(test)]
@@ -599,7 +639,7 @@ mod tests {
         rec.record_span(Stage::GpuInterp, 6.5, 3.0);
         rec.record_span(Stage::Merge, 12.5, 0.5);
         rec.instant(InstantKind::Nack, 2.0, "block 1");
-        rec.end_frame(23.0, 13.0, 1000).unwrap();
+        rec.end_frame(23.0, 13.0, 1000);
     }
 
     #[test]
@@ -661,7 +701,7 @@ mod tests {
         let mut rec = traced_recorder(&trace);
         rec.begin_frame(0);
         rec.record_span(Stage::GpuInterp, 1.0, 2.0);
-        rec.end_frame(3.0, 3.0, 0).unwrap();
+        rec.end_frame(3.0, 3.0, 0);
         rec.finish();
         let f = trace.sessions()[0].frames[0].clone();
         let umbrella = f.spans.iter().find(|s| s.name == UPSCALE_SPAN).unwrap();
@@ -819,12 +859,64 @@ mod tests {
     }
 
     #[test]
+    fn non_frame_events_before_any_session_create_none() {
+        // `figures` logs through the sink before its first session starts
+        let early = [
+            Event::Log {
+                level: crate::Level::Info,
+                message: "experiment starting".to_owned(),
+            },
+            Event::Count {
+                frame: 0,
+                counter: crate::Counter::FramesEncoded,
+                delta: 1,
+            },
+            Event::Gauge {
+                frame: 0,
+                gauge: crate::Gauge::RoiAreaPx,
+                value: 1.0,
+            },
+        ];
+        let full = TraceSink::new();
+        let sampled = crate::SamplingTraceSink::default();
+        let fan = crate::SinkHandle::fanout(vec![
+            SinkHandle::new(full.clone()),
+            SinkHandle::new(sampled.clone()),
+        ]);
+        for event in &early {
+            fan.emit(event);
+        }
+        assert!(full.sessions().is_empty());
+        assert!(sampled.sessions().is_empty());
+        let mut rec = Recorder::new("labelled", 16.67).with_sink(fan);
+        record_one_frame(&mut rec, 0);
+        rec.finish();
+        for sessions in [full.sessions(), sampled.sessions()] {
+            assert_eq!(sessions.len(), 1);
+            assert_eq!(sessions[0].label, "labelled");
+        }
+    }
+
+    #[test]
+    fn a_closed_frame_is_exported_before_it_settles() {
+        let trace = TraceSink::new();
+        let mut rec = traced_recorder(&trace);
+        record_one_frame(&mut rec, 0);
+        // no FrameStart or SessionEnd yet: post-frame instants may still
+        // join frame 0, and a mid-session export must already show it
+        assert_eq!(trace.frame_count(), 1);
+        assert_eq!(trace.sessions()[0].frames.len(), 1);
+        rec.instant(InstantKind::LadderShift, 20.0, "rung 0 -> 1");
+        assert_eq!(trace.sessions()[0].frames[0].instants.len(), 2);
+    }
+
+    #[test]
     fn frozen_frames_produce_an_empty_but_valid_root() {
         let trace = TraceSink::new();
         let mut rec = traced_recorder(&trace);
         rec.begin_frame(0);
         rec.instant(InstantKind::Drop, 4.0, "outage");
-        rec.end_frame(0.0, 0.0, 0).unwrap();
+        rec.end_frame(0.0, 0.0, 0);
         rec.finish();
         let f = trace.sessions()[0].frames[0].clone();
         assert_eq!(f.spans.len(), 1);

@@ -305,6 +305,26 @@ fn zero_bandwidth_link_streams_at_the_rate_floor() {
     }
 }
 
+/// `FleetSim::step` may run past the configured horizon; the report must
+/// then cover the ticks actually run, so each session's frames still
+/// equal `left_tick - joined_tick`.
+#[test]
+fn a_fleet_stepped_past_its_horizon_reports_the_ticks_it_ran() {
+    let config = FleetConfig::new(LinkProfile::fiber(), 0x5e7)
+        .with_ticks(5)
+        .with_session(FleetSessionSpec::new(GameId::G1, device(0)));
+    let mut sim = FleetSim::new(config);
+    for _ in 0..8 {
+        sim.step().expect("fleet tick");
+    }
+    let report = sim.run_until_idle().expect("fleet run");
+    assert_eq!(report.ticks, 8);
+    let s = &report.sessions[0];
+    assert_eq!(s.frames, 8);
+    assert_eq!(s.left_tick, 8);
+    assert_eq!(s.frames, (s.left_tick - s.joined_tick) as u64);
+}
+
 /// Drops the `"label":"…",` member: the two drivers name their recorders
 /// differently, and that is the only field allowed to differ.
 fn without_label(json: &str) -> String {

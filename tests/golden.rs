@@ -133,6 +133,31 @@ fn nemo_pixel_path_session_matches_its_golden_digest() {
     );
 }
 
+#[test]
+fn canonical_storm_session_matches_its_golden_digest() {
+    // the canonical storm's NPU throttle outruns the ladder's first steps:
+    // the misses it answers with a downgrade must stay ladder-lag, not
+    // npu-throttle
+    let scale = 0.2;
+    let config = SessionConfig {
+        frames: frames_for(FaultPlan::canonical_duration_ms(scale)),
+        gop_size: 60,
+        rate_control: Some(RateControlConfig {
+            min_quality: 10,
+            ..RateControlConfig::for_bitrate_mbps(12.0)
+        }),
+        ..canvas_session(GameId::G3, DeviceProfile::s8_tab())
+    }
+    .without_quality()
+    .with_faults(FaultPlan::canonical_scaled(scale))
+    .with_degradation(DegradationConfig::default());
+    let d = session_digest(config, Pipeline::GameStreamSr);
+    assert_eq!(
+        d, 0xa633_6ea8_c034_c28b,
+        "canonical-storm session digest {d:016x}"
+    );
+}
+
 /// Four sessions: a steady one, a mid-run leaver, a decoder-crash victim
 /// and a weak-tier client under a bandwidth fade.
 fn mixed_fleet(sampled: bool) -> FleetConfig {
