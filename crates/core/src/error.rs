@@ -17,6 +17,14 @@ pub enum GssError {
         /// Frame size `(width, height)`.
         frame: (usize, usize),
     },
+    /// A configuration the simulator cannot run, such as a zero GOP, an
+    /// odd canvas or a NaN rate.
+    InvalidConfig {
+        /// The offending field, e.g. `"gop_size"`.
+        field: &'static str,
+        /// What the field must satisfy.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for GssError {
@@ -30,6 +38,9 @@ impl fmt::Display for GssError {
                 "roi window {}x{} exceeds frame {}x{}",
                 window.0, window.1, frame.0, frame.1
             ),
+            GssError::InvalidConfig { field, reason } => {
+                write!(f, "invalid config: {field} {reason}")
+            }
         }
     }
 }
@@ -40,7 +51,7 @@ impl std::error::Error for GssError {
             GssError::Codec(e) => Some(e),
             GssError::Frame(e) => Some(e),
             GssError::Metric(e) => Some(e),
-            GssError::WindowTooLarge { .. } => None,
+            GssError::WindowTooLarge { .. } | GssError::InvalidConfig { .. } => None,
         }
     }
 }
@@ -78,5 +89,11 @@ mod tests {
         };
         assert!(w.to_string().contains("500x500"));
         assert!(std::error::Error::source(&w).is_none());
+        let c = GssError::InvalidConfig {
+            field: "gop_size",
+            reason: "must be nonzero",
+        };
+        assert_eq!(c.to_string(), "invalid config: gop_size must be nonzero");
+        assert!(std::error::Error::source(&c).is_none());
     }
 }

@@ -7,9 +7,10 @@
 //! drives — fault telemetry, crash recovery, NACK, encode, the freeze and
 //! deadline verdicts, SLO and the degradation ladder — configured as a
 //! modeled-only GameStreamSR session with loss recovery on. The fleet
-//! injects only what consolidation changes: a [`SharedLink`] flow instead
-//! of a private link, a rate cap from the fair-share allocator, the
-//! server's time-sharing factor, and its fleet-watch detectors.
+//! injects only what consolidation changes: one flow of the fleet's
+//! [`SharedLink`] instead of a private one-flow link, a rate cap from the
+//! fair-share allocator, the server's time-sharing factor, and its
+//! fleet-watch detectors.
 //!
 //! [`FleetSim`] is the discrete-event driver: logical time advances in
 //! 60 Hz ticks ([`FleetSim::step`]), and each tick runs six phases in a
@@ -35,11 +36,12 @@
 //!    sink and RNG-free pipeline state, so the phase is embarrassingly
 //!    parallel and bit-deterministic at any worker count. Only a small
 //!    staged summary survives the phase, never the server packet.
-//! 5. **Transport + control** (serial) — staged frames cross the
-//!    [`SharedLink`] in session order (the bottleneck has one clock and
-//!    one RNG, so the serial order *is* the determinism contract), then
-//!    each session lands and closes its frame, runs the rung-flap and
-//!    starvation detectors, and lets its controller adapt.
+//! 5. **Transport + control** (serial) — in session order (the
+//!    bottleneck has one clock and one RNG, so the serial order *is* the
+//!    determinism contract), each session's step sends its staged frame
+//!    on its [`SharedLink`] flow, lands and closes the frame; then the
+//!    session runs the rung-flap and starvation detectors and lets its
+//!    controller adapt.
 //! 6. **Watch** (serial) — fleet time-series, the admission-storm
 //!    detector, the knee, and the fleet-wide trace retention cap.
 //!
@@ -150,8 +152,9 @@ pub struct FleetConfig {
     /// Channel seed; one seed fixes the whole fleet's bandwidth trace and
     /// jitter stream.
     pub link_seed: u64,
-    /// Fault timeline shaping the shared bottleneck itself (hits every
-    /// flow at once — a staggered storm is per-session plans instead).
+    /// Fault timeline shaping the shared bottleneck itself: bandwidth
+    /// collapses, outages and jitter spikes that hit every flow at once (a
+    /// staggered storm is per-session plans instead).
     pub shared_faults: FaultPlan,
     /// Fleet ticks to run (60 ticks = 1 s logical).
     pub ticks: usize,
@@ -238,11 +241,42 @@ impl FleetConfig {
         self.link.bandwidth_mbps * self.uplink_utilization
     }
 
+    /// Checks what the fleet needs before its first tick: a finite,
+    /// non-negative `uplink_utilization` and `session_rate_mbps` (zero
+    /// streams at the rate floor), and every session's canvas and GOP (see
+    /// [`SessionConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`GssError::InvalidConfig`] naming the first offending field, or
+    /// [`GssError::WindowTooLarge`] when a device's RoI window does not
+    /// fit the canvas.
+    pub(crate) fn validate(&self) -> Result<(), GssError> {
+        for (field, value) in [
+            ("uplink_utilization", self.uplink_utilization),
+            ("session_rate_mbps", self.session_rate_mbps),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(GssError::InvalidConfig {
+                    field,
+                    reason: "must be finite and non-negative",
+                });
+            }
+        }
+        self.sessions
+            .iter()
+            .try_for_each(|spec| self.session_config(spec, None).validate())
+    }
+
     /// The `run_session` configuration one fleet session streams with:
     /// the fleet's canvas, GOP, codec and server model, rate control at
     /// the nominal per-session rate, loss recovery always on and no pixel
-    /// path. The session's trace collector rides as its telemetry sink.
-    fn session_config(&self, spec: &FleetSessionSpec, trace: &TraceCollector) -> SessionConfig {
+    /// path. `telemetry` is the session's trace collector.
+    fn session_config(
+        &self,
+        spec: &FleetSessionSpec,
+        telemetry: Option<SinkHandle>,
+    ) -> SessionConfig {
         SessionConfig {
             link: self.link.clone(),
             gop_size: self.gop_size,
@@ -258,7 +292,7 @@ impl FleetConfig {
                 ..RateControlConfig::for_bitrate_mbps(self.session_rate_mbps)
             }),
             loss_recovery: true,
-            telemetry: Some(trace.handle()),
+            telemetry,
             fault_plan: spec.fault_plan.clone(),
             degradation: self.degradation,
             pool: self.pool,
@@ -301,6 +335,8 @@ struct ActiveSession {
     consumed_ema: f64,
     flap: RungFlapDetector,
     starve: StarvationDetector,
+    // per-tick rate counter tracks for the merged trace; a sampled
+    // session exports none, so it records none
     alloc_track: Vec<(f64, f64)>,
     consumed_track: Vec<(f64, f64)>,
 }
@@ -327,15 +363,7 @@ impl ActiveSession {
         let Some(staged) = self.staged.take() else {
             return;
         };
-        let uplink_ms = link.control_latency_ms(self.flow);
-        let transfer = link.send(self.flow, staged.bytes, now_ms);
-        let mut frame = self.step.deliver(
-            staged,
-            uplink_ms,
-            &transfer,
-            link.effective_mbps(),
-            server_factor,
-        );
+        let mut frame = self.step.deliver(staged, link, self.flow, server_factor);
         self.step.seal(&mut frame);
 
         let f = &frame.record;
@@ -367,8 +395,10 @@ impl ActiveSession {
         self.last_alloc_mbps = alloc_mbps;
         self.last_consumed_mbps = consumed_mbps;
         self.consumed_ema += (consumed_mbps - self.consumed_ema) / 16.0;
-        self.alloc_track.push((now_ms, alloc_mbps));
-        self.consumed_track.push((now_ms, consumed_mbps));
+        if self.trace.sampler().is_none() {
+            self.alloc_track.push((now_ms, alloc_mbps));
+            self.consumed_track.push((now_ms, consumed_mbps));
+        }
         let flap = self.flap.observe(f.index as u64, f.rung);
         let starve = self.starve.observe(consumed_mbps, alloc_mbps);
         for (counter, msg) in [
@@ -907,7 +937,7 @@ impl FleetSim {
             spec.game, spec.device.name, config.link.name
         );
         let step = SessionStep::new(
-            &config.session_config(spec, &trace),
+            &config.session_config(spec, Some(trace.handle())),
             Pipeline::GameStreamSr,
             label,
         );
@@ -941,20 +971,13 @@ impl FleetSim {
 
     fn finalize_session(&mut self, mut s: ActiveSession, left_tick: usize) {
         let done = s.step.finish();
-        // Sampled mode drops the full-resolution per-session rate tracks:
-        // only the sampler's retained frames and its sampling counter
-        // tracks survive into the merged export. That is the entire point.
-        let tracks = match s.trace {
-            TraceCollector::Full(_) => vec![
-                ("alloc-mbps", std::mem::take(&mut s.alloc_track)),
-                ("consumed-mbps", std::mem::take(&mut s.consumed_track)),
-            ],
-            TraceCollector::Sampled(_) => Vec::new(),
-        };
         self.traces.push(SessionTrace {
             spec: s.spec_idx,
             collector: s.trace,
-            tracks,
+            tracks: vec![
+                ("alloc-mbps", std::mem::take(&mut s.alloc_track)),
+                ("consumed-mbps", std::mem::take(&mut s.consumed_track)),
+            ],
         });
         self.watch.rung_flaps += s.flap.events;
         self.watch.starvation_events += s.starve.events;
@@ -980,13 +1003,28 @@ impl FleetSim {
         });
     }
 
+    /// [`FleetConfig::validate`] until the first tick succeeds: a fleet
+    /// with an invalid configuration never leaves tick 0.
+    fn check_config(&self) -> Result<(), GssError> {
+        if self.tick == 0 {
+            self.config.validate()
+        } else {
+            Ok(())
+        }
+    }
+
     /// Advances the fleet one 60 Hz tick through the six phases.
     ///
     /// # Errors
     ///
-    /// Propagates codec failures from any session (which would indicate a
-    /// bug, as in [`crate::session::run_session`]).
+    /// Until a tick has run, returns [`GssError::InvalidConfig`] or
+    /// [`GssError::WindowTooLarge`] for a configuration the fleet cannot
+    /// run: a NaN, infinite or negative `uplink_utilization` or
+    /// `session_rate_mbps`, or a session canvas or GOP that
+    /// [`crate::session::run_session`] refuses. Propagates codec failures
+    /// from any session (which would indicate a bug, as in `run_session`).
     pub fn step(&mut self) -> Result<(), GssError> {
+        self.check_config()?;
         let tick = self.tick;
         let now_ms = tick as f64 * 1000.0 / 60.0;
 
@@ -1040,9 +1078,7 @@ impl FleetSim {
             self.server_factor = n.div_ceil(self.config.server_slots.max(1)) as f64;
             let share = self.config.budget_mbps() / n as f64;
             let alloc = (share / self.config.session_rate_mbps.max(1e-9)).min(1.0);
-            let alloc_mbps = self.config.session_rate_mbps * alloc;
             for s in &mut self.active {
-                self.link.note_allocation(s.flow, alloc_mbps);
                 s.step.set_alloc_scale(alloc);
             }
         }
@@ -1189,8 +1225,10 @@ impl FleetSim {
     ///
     /// # Errors
     ///
-    /// Propagates the first session error.
+    /// Returns the configuration error [`FleetSim::step`] returns, or the
+    /// first session error.
     pub fn run_until_idle(&mut self) -> Result<FleetReport, GssError> {
+        self.check_config()?;
         while self.tick < self.config.ticks {
             self.step()?;
         }
@@ -1451,6 +1489,95 @@ mod tests {
             assert!(s.frames_frozen > 0);
             assert!(s.flow.consistent());
         }
+    }
+
+    /// The error a fleet configured by `configure` returns from its first
+    /// tick. `run_until_idle` must refuse it too, and the fleet never
+    /// leaves tick 0.
+    fn refusal(configure: impl FnOnce(&mut FleetConfig)) -> GssError {
+        let mut config = two_session_config(5);
+        configure(&mut config);
+        let mut sim = FleetSim::new(config);
+        let err = sim.step().expect_err("the first tick ran an invalid fleet");
+        assert!(sim.run_until_idle().is_err(), "run_until_idle ran it");
+        assert_eq!(sim.tick(), 0);
+        err
+    }
+
+    fn assert_invalid(err: GssError, expected: &str) {
+        assert!(
+            matches!(err, GssError::InvalidConfig { field, .. } if field == expected),
+            "expected {expected} to be refused, got: {err}"
+        );
+    }
+
+    #[test]
+    fn a_zero_gop_fleet_is_refused() {
+        assert_invalid(refusal(|c| c.gop_size = 0), "gop_size");
+    }
+
+    #[test]
+    fn an_odd_canvas_fleet_is_refused() {
+        assert_invalid(refusal(|c| c.lr_size = (128, 71)), "lr_size");
+    }
+
+    #[test]
+    fn an_empty_canvas_fleet_is_refused() {
+        assert_invalid(refusal(|c| c.lr_size = (0, 0)), "lr_size");
+    }
+
+    #[test]
+    fn a_fleet_canvas_smaller_than_the_roi_window_is_refused() {
+        let err = refusal(|c| c.lr_size = (2, 2));
+        assert!(
+            matches!(err, GssError::WindowTooLarge { frame: (2, 2), .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nan_uplink_utilization_is_refused() {
+        assert_invalid(
+            refusal(|c| c.uplink_utilization = f64::NAN),
+            "uplink_utilization",
+        );
+    }
+
+    #[test]
+    fn infinite_uplink_utilization_is_refused() {
+        assert_invalid(
+            refusal(|c| c.uplink_utilization = f64::INFINITY),
+            "uplink_utilization",
+        );
+    }
+
+    #[test]
+    fn negative_uplink_utilization_is_refused() {
+        assert_invalid(
+            refusal(|c| c.uplink_utilization = -0.5),
+            "uplink_utilization",
+        );
+    }
+
+    #[test]
+    fn nan_session_rate_is_refused() {
+        assert_invalid(
+            refusal(|c| c.session_rate_mbps = f64::NAN),
+            "session_rate_mbps",
+        );
+    }
+
+    #[test]
+    fn infinite_session_rate_is_refused() {
+        assert_invalid(
+            refusal(|c| c.session_rate_mbps = f64::INFINITY),
+            "session_rate_mbps",
+        );
+    }
+
+    #[test]
+    fn negative_session_rate_is_refused() {
+        assert_invalid(refusal(|c| c.session_rate_mbps = -8.0), "session_rate_mbps");
     }
 
     #[test]

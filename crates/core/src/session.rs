@@ -13,9 +13,10 @@
 //! freeze and deadline verdicts, SLO and the degradation ladder — lives in
 //! the crate's shared session step, which the
 //! [`fleet`](crate::fleet) simulator drives too. [`run_session`] injects
-//! only what a lone session owns: its private [`Link`], the energy meter,
-//! and the pixel path (decode, upscale, quality metrics), which runs after
-//! the step lands a frame and before it closes it.
+//! only what a lone session owns: its private downlink (a one-flow
+//! [`SharedLink`] whose bottleneck follows the session's fault plan), the
+//! energy meter, and the pixel path (decode, upscale, quality metrics),
+//! which runs after the step lands a frame and before it closes it.
 //!
 //! # Canvas scaling
 //!
@@ -28,16 +29,16 @@
 //! models, so latency/energy figures are canvas-independent.
 
 use crate::client::GameStreamClient;
-use crate::mtp::MtpBreakdown;
+use crate::mtp::{MtpBreakdown, FULL_LR};
 use crate::nemo::NemoClient;
 use crate::recovery::RecoverySummary;
-use crate::roi::RoiDetectorConfig;
+use crate::roi::{plan_roi_window, RoiDetectorConfig};
 use crate::step::{InFlight, SessionStep};
 use crate::GssError;
 use gss_codec::FrameType;
 use gss_frame::Frame;
 use gss_metrics::{perceptual_distance, psnr, region_weighted_psnr};
-use gss_net::{DropCause, FaultPlan, Link, LinkProfile};
+use gss_net::{DropCause, FaultPlan, LinkProfile, SharedLink};
 use gss_platform::{DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, ServerModel, Stage};
 use gss_render::GameId;
 use gss_telemetry::{Counter, SinkHandle, TelemetrySummary};
@@ -205,6 +206,37 @@ impl SessionConfig {
         self.degradation = Some(degradation);
         self.loss_recovery = true;
         self
+    }
+
+    /// Checks what [`run_session`] needs before it streams a frame: a
+    /// nonzero GOP and scale, an even, nonempty canvas, and a canvas large
+    /// enough for the device's planned RoI window.
+    ///
+    /// # Errors
+    ///
+    /// [`GssError::InvalidConfig`] naming the first offending field, or
+    /// [`GssError::WindowTooLarge`] when the RoI window does not fit.
+    pub(crate) fn validate(&self) -> Result<(), GssError> {
+        let invalid = |field, reason| Err(GssError::InvalidConfig { field, reason });
+        if self.gop_size == 0 {
+            return invalid("gop_size", "must be nonzero");
+        }
+        if self.scale == 0 {
+            return invalid("scale", "must be nonzero");
+        }
+        let (w, h) = self.lr_size;
+        if w == 0 || h == 0 || w % 2 != 0 || h % 2 != 0 {
+            return invalid("lr_size", "must be even and nonzero");
+        }
+        let plan = plan_roi_window(&self.device, self.scale, FULL_LR.width(), FULL_LR.height());
+        let window = plan.scaled_to_canvas(w, FULL_LR.width());
+        if window.0 > w || window.1 > h {
+            return Err(GssError::WindowTooLarge {
+                window,
+                frame: self.lr_size,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -436,9 +468,13 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates codec failures (which would indicate a bug — the simulated
-/// stream is delivered losslessly to the decoder).
+/// Returns [`GssError::InvalidConfig`] for a zero GOP or scale or an odd
+/// or empty canvas, and [`GssError::WindowTooLarge`] for a canvas smaller
+/// than the device's RoI window, before streaming anything. Propagates
+/// codec failures (which would indicate a bug — the simulated stream is
+/// delivered losslessly to the decoder).
 pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<SessionReport, GssError> {
+    config.validate()?;
     // Pin the pool capacity captured at construction to this stepping
     // thread: a concurrent session flipping the global worker knob must
     // not reconfigure this session's kernels mid-frame.
@@ -450,11 +486,12 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
         config.link.name
     );
     let mut step = SessionStep::new(config, pipeline, label);
-    let mut link = Link::with_faults(
+    let mut link = SharedLink::with_faults(
         config.link.clone(),
         config.link_seed,
         config.fault_plan.clone(),
     );
+    let flow = link.add_flow(FaultPlan::default());
     let mut meter = EnergyMeter::new(&config.device);
     let mut ours_client = GameStreamClient::new(config.scale);
     let mut nemo_client = NemoClient::new(config.scale);
@@ -463,9 +500,7 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
     for i in 0..config.frames {
         let send_time = i as f64 * 1000.0 / 60.0;
         let (staged, packet) = step.open(send_time)?;
-        let uplink_ms = link.control_latency_ms();
-        let transfer = link.send(staged.bytes, send_time);
-        let mut frame = step.deliver(staged, uplink_ms, &transfer, link.effective_mbps(), 1.0);
+        let mut frame = step.deliver(staged, &mut link, flow, 1.0);
         charge_energy(&mut meter, pipeline, &frame);
 
         // ---- data path + quality (between deliver and seal, so the
@@ -973,6 +1008,67 @@ mod tests {
         let s8 = run(DeviceProfile::s8_tab());
         assert_eq!(s8.recovery, None);
         assert_eq!(s8.max_rung(), 0);
+    }
+
+    /// The field `run_session` names when it refuses `config`.
+    fn refused_field(config: SessionConfig) -> &'static str {
+        match run_session(&config, Pipeline::GameStreamSr) {
+            Err(GssError::InvalidConfig { field, .. }) => field,
+            Err(e) => panic!("refused with the wrong error: {e}"),
+            Ok(_) => panic!("ran an invalid config"),
+        }
+    }
+
+    #[test]
+    fn a_zero_gop_is_refused() {
+        let cfg = SessionConfig {
+            gop_size: 0,
+            ..tiny_config()
+        };
+        assert_eq!(refused_field(cfg), "gop_size");
+    }
+
+    #[test]
+    fn a_zero_scale_is_refused() {
+        let cfg = SessionConfig {
+            scale: 0,
+            ..tiny_config()
+        };
+        assert_eq!(refused_field(cfg), "scale");
+    }
+
+    #[test]
+    fn an_odd_canvas_is_refused() {
+        let cfg = SessionConfig {
+            lr_size: (128, 71),
+            ..tiny_config()
+        };
+        assert_eq!(refused_field(cfg), "lr_size");
+    }
+
+    #[test]
+    fn an_empty_canvas_is_refused() {
+        let cfg = SessionConfig {
+            lr_size: (0, 72),
+            ..tiny_config()
+        };
+        assert_eq!(refused_field(cfg), "lr_size");
+    }
+
+    #[test]
+    fn a_canvas_smaller_than_the_roi_window_is_refused() {
+        let cfg = SessionConfig {
+            lr_size: (2, 2),
+            ..tiny_config()
+        };
+        match run_session(&cfg, Pipeline::Nemo) {
+            Err(GssError::WindowTooLarge { window, frame }) => {
+                assert_eq!(frame, (2, 2));
+                assert!(window.0 > 2, "{window:?}");
+            }
+            Err(e) => panic!("refused with the wrong error: {e}"),
+            Ok(_) => panic!("ran a canvas the RoI window cannot fit"),
+        }
     }
 
     #[test]

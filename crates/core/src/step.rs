@@ -6,26 +6,27 @@
 //! manager, the crash-recovery machine, the SLO engine and the active RoI
 //! window / SR tier. Two drivers step it and inject only what differs:
 //!
-//! * [`run_session`](crate::session::run_session) crosses a private
-//!   [`gss_net::Link`], charges the energy meter and, when quality is
-//!   evaluated, runs the pixel path (decode, upscale, metrics) between
-//!   [`SessionStep::deliver`] and [`SessionStep::seal`];
-//! * [`FleetSim`](crate::fleet::FleetSim) crosses a
-//!   [`gss_net::SharedLink`] flow, caps the rate through
+//! * [`run_session`](crate::session::run_session) sends on the one flow
+//!   of a private [`SharedLink`], charges the energy meter and, when
+//!   quality is evaluated, runs the pixel path (decode, upscale, metrics)
+//!   between [`SessionStep::deliver`] and [`SessionStep::seal`];
+//! * [`FleetSim`](crate::fleet::FleetSim) sends on its session's flow of
+//!   the fleet's [`SharedLink`], caps the rate through
 //!   [`SessionStep::set_alloc_scale`], stretches server stages by its
 //!   consolidation factor, and runs its flap/starvation detectors between
 //!   [`SessionStep::seal`] and [`SessionStep::adapt`].
 //!
 //! Per frame a driver calls [`SessionStep::open`] (fault telemetry,
-//! recovery frame-open, NACK, encode — the fleet's parallel phase), sends
-//! the staged bytes over its link, then hands the transfer and the link's
-//! goodput to [`SessionStep::deliver`] and calls [`SessionStep::seal`] and
-//! [`SessionStep::adapt`]; [`SessionStep::finish`] closes the session. A
-//! server factor and a rate cap of `1.0` multiply exactly, so a private
-//! link reproduces the uncontended fleet bit for bit.
+//! recovery frame-open, NACK, encode — the fleet's parallel phase), then
+//! [`SessionStep::deliver`] with its link and flow (the step samples the
+//! control latency, sends the staged bytes and reads the goodput), then
+//! [`SessionStep::seal`] and [`SessionStep::adapt`];
+//! [`SessionStep::finish`] closes the session. A server factor and a rate
+//! cap of `1.0` multiply exactly, so a private link reproduces the
+//! uncontended fleet bit for bit.
 //!
 //! The step is the pipeline's telemetry writer: the server, the codec and
-//! the links only compute, and the step records what each call produced.
+//! the link only compute, and the step records what each call produced.
 //! A driver records through [`SessionStep::rec`] only what it alone runs:
 //! `run_session` the clients' counters, the fleet its detectors.
 
@@ -40,7 +41,7 @@ use crate::server::{GameStreamServer, ServerConfig, ServerPacket};
 use crate::session::{FrameRecord, Pipeline, SessionConfig};
 use crate::GssError;
 use gss_codec::{EncoderConfig, FrameType};
-use gss_net::{DropCause, FaultPlan, Transfer};
+use gss_net::{DropCause, FaultPlan, SharedLink};
 use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_sr::ModelTier;
 use gss_telemetry::{
@@ -59,13 +60,13 @@ fn canvas_to_full(lr_size: (usize, usize)) -> f64 {
     ratio.powf(0.835)
 }
 
-/// What [`SessionStep::open`] hands to the driver's transport: the
-/// deployment-scale byte count plus the frame-open facts the rest of the
-/// step needs. Deliberately small — the fleet holds one per session
+/// What [`SessionStep::open`] hands back for [`SessionStep::deliver`]:
+/// the deployment-scale byte count plus the frame-open facts the rest of
+/// the step needs. Deliberately small — the fleet holds one per session
 /// between its phases, and must not hold the server packet.
 pub(crate) struct Staged {
     /// Bytes on the wire, deployment scale.
-    pub bytes: usize,
+    bytes: usize,
     now_ms: f64,
     frame_type: FrameType,
     rung: usize,
@@ -101,9 +102,6 @@ pub(crate) struct SessionStep {
     faults: FaultPlan,
     lr_size: (usize, usize),
     server_model: ServerModel,
-    /// Downlink latency charged to a dropped frame: it would have waited
-    /// out the full queue.
-    drop_bound_ms: f64,
     byte_scale: f64,
     server: GameStreamServer,
     rec: Recorder,
@@ -188,7 +186,6 @@ impl SessionStep {
             faults: config.fault_plan.clone(),
             lr_size: config.lr_size,
             server_model: config.server_model.clone(),
-            drop_bound_ms: config.link.queue_limit_ms + config.link.rtt_ms / 2.0,
             byte_scale,
             server,
             rec,
@@ -442,22 +439,25 @@ impl SessionStep {
         Ok((staged, packet))
     }
 
-    /// Lands the staged frame given the driver's transport outcome and the
-    /// link's goodput after the send: the link telemetry, the decoder-down
-    /// drop, the freeze verdict, the NACK and recovery frame-close, the
-    /// modeled decode and upscale, and the MTP spans. Server-side stages
-    /// stretch by `server_factor`.
+    /// Sends the staged frame on `flow` of `link` and lands it: the
+    /// control-packet latency sample, the send, the link telemetry (the
+    /// goodput after the send, bytes, transfer span or drop), the
+    /// decoder-down drop, the freeze verdict, the NACK and recovery
+    /// frame-close, the modeled decode and upscale, and the MTP spans.
+    /// Server-side stages stretch by `server_factor`.
     pub(crate) fn deliver(
         &mut self,
         staged: Staged,
-        uplink_ms: f64,
-        transfer: &Transfer,
-        link_mbps: f64,
+        link: &mut SharedLink,
+        flow: usize,
         server_factor: f64,
     ) -> InFlight {
         let now_ms = staged.now_ms;
         let is_intra = staged.frame_type == FrameType::Intra;
-        self.rec.gauge(Gauge::LinkBandwidthMbps, link_mbps);
+        let uplink_ms = link.control_latency_ms(flow);
+        let transfer = link.send(flow, staged.bytes, now_ms);
+        self.rec
+            .gauge(Gauge::LinkBandwidthMbps, link.effective_mbps());
         self.rec.add(Counter::BytesOnWire, staged.bytes as u64);
         let (mut dropped, downlink_ms) = match transfer.drop_cause {
             None => {
@@ -467,7 +467,9 @@ impl SessionStep {
             }
             Some(cause) => {
                 self.record_drop(cause, now_ms);
-                (true, self.drop_bound_ms)
+                // a dropped frame is charged the full queue's wait
+                let profile = link.profile();
+                (true, profile.queue_limit_ms + profile.rtt_ms / 2.0)
             }
         };
         let mut drop_cause = transfer.drop_cause;

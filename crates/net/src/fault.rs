@@ -8,8 +8,9 @@
 //! experiments and the CI soak reproducible.
 //!
 //! Network faults ([`FaultKind::BandwidthCollapse`], [`FaultKind::Outage`],
-//! [`FaultKind::JitterSpike`]) are consumed by [`crate::Link`]; platform
-//! faults ([`FaultKind::NpuThrottle`], [`FaultKind::DecoderStall`],
+//! [`FaultKind::JitterSpike`]) are consumed by [`crate::SharedLink`], as
+//! its bottleneck plan or as one flow's plan; platform faults
+//! ([`FaultKind::NpuThrottle`], [`FaultKind::DecoderStall`],
 //! [`FaultKind::DecoderCrash`]) are queried by the session simulator and
 //! fed into the device timing models and the recovery state machine.
 //!

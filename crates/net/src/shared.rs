@@ -1,4 +1,4 @@
-//! Shared-uplink simulation: one bottleneck, many per-session flows.
+//! The channel model: one bottleneck, one flow per session.
 //!
 //! A consolidation server multiplexes every session's downlink traffic
 //! through one radio/backhaul bottleneck. [`SharedLink`] models that: a
@@ -6,13 +6,22 @@
 //! flows — plus per-flow fault timelines and per-flow accounting. The
 //! shared queue is what couples sessions: one session's burst steals
 //! serialization capacity from everyone, so a frame can be tail-dropped
-//! even though its own flow is healthy.
+//! even though its own flow is healthy. A lone session's private downlink
+//! is the one-flow case: its fault plan shapes the bottleneck, and its
+//! flow carries an empty plan.
+//!
+//! **Fault layering.** The bottleneck ("shared") plan hits every flow; a
+//! flow's plan hits only that flow. An outage in either drops the frame.
+//! A shared bandwidth collapse slows the bottleneck's drain, a flow-local
+//! one throttles only that flow's admission into it. Jitter spikes from
+//! both plans multiply a frame's transit jitter; a control packet's
+//! jitter follows its flow's plan only.
 //!
 //! **Drop attribution contract.** Every drop is charged to exactly one
 //! cause in the *victim* flow's ledger:
 //!
 //! - an outage window (shared or flow-local) active at send time charges
-//!   [`DropCause::Outage`] — checked first, like [`Link`];
+//!   [`DropCause::Outage`] — checked first;
 //! - otherwise a tail drop charges [`DropCause::QueueOverflow`] to the
 //!   flow whose frame was refused, even when the queue was filled by
 //!   *other* flows' traffic (cross-session contention is congestion, not
@@ -22,12 +31,12 @@
 //! construction ([`FlowStats::consistent`]), so fleet-level attribution
 //! can sum them without double counting.
 //!
-//! Determinism matches [`Link`]: one seed fixes the bandwidth trace and
-//! jitter stream, and callers that present sends in a deterministic order
-//! (the fleet steps sessions in session-id order) replay bit-identically
-//! at any worker count.
+//! Determinism: one seed fixes the bandwidth trace and jitter stream, and
+//! callers that present sends in a deterministic order (the fleet steps
+//! sessions in session-id order) replay bit-identically at any worker
+//! count.
 
-use crate::{draw_bandwidth, DropCause, FaultPlan, Link, LinkProfile, Transfer};
+use crate::{DropCause, FaultPlan, LinkProfile, Transfer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -48,15 +57,8 @@ pub struct FlowStats {
     pub bytes: u64,
     /// Payload bytes the link actually delivered for this flow — the
     /// numerator of the flow's *consumed* rate, as opposed to `bytes`
-    /// (offered) and the allocated rate below.
+    /// (offered).
     pub bytes_delivered: u64,
-    /// Sum of per-tick fair-share allocations granted to this flow, in
-    /// kbit/s fixed point (f64 rates rounded to whole kbit/s keep the
-    /// struct `Eq` and the ledger bit-deterministic).
-    pub allocated_kbps_sum: u64,
-    /// Ticks over which an allocation was recorded (the denominator of
-    /// [`FlowStats::mean_allocated_mbps`]).
-    pub alloc_ticks: u64,
 }
 
 impl FlowStats {
@@ -66,16 +68,6 @@ impl FlowStats {
             0.0
         } else {
             self.dropped as f64 / self.sent as f64
-        }
-    }
-
-    /// Mean fair-share rate allocated to this flow across the recorded
-    /// ticks, Mbit/s. `None` when no allocation was ever recorded.
-    pub fn mean_allocated_mbps(&self) -> Option<f64> {
-        if self.alloc_ticks == 0 {
-            None
-        } else {
-            Some(self.allocated_kbps_sum as f64 / self.alloc_ticks as f64 / 1000.0)
         }
     }
 
@@ -92,15 +84,12 @@ struct Flow {
     stats: FlowStats,
 }
 
-/// A shared bottleneck uplink carrying one flow per session.
+/// A bottleneck downlink carrying one flow per session.
 ///
-/// Mirrors [`Link`]'s channel model — token-bucket queue, coherence-
-/// interval bandwidth re-rolls, half-normal jitter, tail drop — but the
-/// queue, bandwidth trace and RNG are shared across flows, while fault
-/// timelines and accounting are per flow. A flow-local
-/// [`BandwidthCollapse`](crate::FaultKind::BandwidthCollapse) throttles
-/// that flow's access rate into the shared bottleneck (a degraded last
-/// hop); shaping the bottleneck itself is the shared plan's job.
+/// Token-bucket queue, coherence-interval bandwidth re-rolls, half-normal
+/// jitter, tail drop. The queue, bandwidth trace and RNG are shared across
+/// flows, while fault timelines and accounting are per flow (see the
+/// module docs for how the two plans layer).
 #[derive(Debug, Clone)]
 pub struct SharedLink {
     profile: LinkProfile,
@@ -114,14 +103,16 @@ pub struct SharedLink {
 }
 
 impl SharedLink {
-    /// Creates a shared link; identical seeds give identical channel
-    /// traces for identical send sequences.
+    /// Creates a link; identical seeds give identical channel traces for
+    /// identical send sequences.
     pub fn new(profile: LinkProfile, seed: u64) -> Self {
         SharedLink::with_faults(profile, seed, FaultPlan::default())
     }
 
-    /// Creates a shared link whose bottleneck follows a scripted fault
-    /// timeline (bandwidth collapses and outages hitting every flow).
+    /// Creates a link whose bottleneck follows a scripted fault timeline:
+    /// bandwidth collapses, outages and jitter spikes hitting every flow.
+    /// Faults modulate the channel *after* the seeded random draws, so the
+    /// same seed gives the same underlying trace with and without the plan.
     pub fn with_faults(profile: LinkProfile, seed: u64, shared_faults: FaultPlan) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let current_mbps = draw_bandwidth(&profile, &mut rng);
@@ -147,7 +138,7 @@ impl SharedLink {
         self.flows.len() - 1
     }
 
-    /// The link profile of the shared bottleneck.
+    /// The link profile of the bottleneck.
     pub fn profile(&self) -> &LinkProfile {
         &self.profile
     }
@@ -155,17 +146,6 @@ impl SharedLink {
     /// This flow's transmission accounting so far.
     pub fn stats(&self, flow: usize) -> FlowStats {
         self.flows[flow].stats
-    }
-
-    /// Records the fair-share rate allocated to `flow` for one tick. The
-    /// allocator (the fleet loop) calls this every tick for every active
-    /// flow, so the ledger carries allocated-vs-consumed alongside the
-    /// drop causes. Rates are rounded to whole kbit/s (fixed point keeps
-    /// [`FlowStats`] `Eq`).
-    pub fn note_allocation(&mut self, flow: usize, mbps: f64) {
-        let stats = &mut self.flows[flow].stats;
-        stats.allocated_kbps_sum += (mbps.max(0.0) * 1000.0).round() as u64;
-        stats.alloc_ticks += 1;
     }
 
     /// The bottleneck goodput at the link's current clock, with any active
@@ -182,8 +162,7 @@ impl SharedLink {
     }
 
     fn jitter_sample(&mut self) -> f64 {
-        // half-normal approximation from the mean of uniforms (same
-        // construction as [`Link`])
+        // half-normal approximation from the mean of uniforms
         let u: f64 = (0..4).map(|_| self.rng.gen::<f64>()).sum::<f64>() / 4.0;
         (u - 0.5).abs() * 4.0 * self.profile.jitter_ms
     }
@@ -194,6 +173,8 @@ impl SharedLink {
         while t < now_ms {
             let step_end = now_ms.min(self.next_reroll_ms);
             let dt = step_end - t;
+            // drain at the faulted rate, sampled at the step midpoint (the
+            // coherence interval bounds the approximation error)
             let factor = self.shared_faults.bandwidth_factor((t + step_end) / 2.0);
             let drained = self.current_mbps * factor * 1000.0 * dt; // mbps · ms = bits
             self.queue_bits = (self.queue_bits - drained).max(0.0);
@@ -224,7 +205,6 @@ impl SharedLink {
             stats.drops_outage += 1;
             return Transfer {
                 drop_cause: Some(DropCause::Outage),
-                arrival_ms: f64::NAN,
                 transit_ms: f64::NAN,
             };
         }
@@ -247,29 +227,27 @@ impl SharedLink {
             stats.drops_queue_overflow += 1;
             return Transfer {
                 drop_cause: Some(DropCause::QueueOverflow),
-                arrival_ms: f64::NAN,
                 transit_ms: f64::NAN,
             };
         }
         self.queue_bits += bits;
         self.flows[flow].stats.bytes_delivered += bytes as u64;
-        let jitter = self.jitter_sample() * self.flows[flow].fault_plan.jitter_factor(send_time_ms);
-        let transit = queue_after_ms + self.profile.rtt_ms / 2.0 + jitter;
+        let jitter = self.jitter_sample()
+            * self.shared_faults.jitter_factor(send_time_ms)
+            * self.flows[flow].fault_plan.jitter_factor(send_time_ms);
         Transfer {
             drop_cause: None,
-            arrival_ms: send_time_ms + transit,
-            transit_ms: transit,
+            transit_ms: queue_after_ms + self.profile.rtt_ms / 2.0 + jitter,
         }
     }
 }
 
-/// A single-flow [`SharedLink`] reproduces [`Link`]'s channel model; this
-/// helper builds both from one seed for equivalence tests.
-pub fn paired_single_flow(profile: LinkProfile, seed: u64) -> (Link, SharedLink) {
-    let single = Link::new(profile.clone(), seed);
-    let mut shared = SharedLink::new(profile, seed);
-    let _ = shared.add_flow(FaultPlan::default());
-    (single, shared)
+fn draw_bandwidth(profile: &LinkProfile, rng: &mut SmallRng) -> f64 {
+    // uniform draw scaled so the factor's standard deviation equals the
+    // CV, floored at 5% of the mean so the link never fully dies
+    let u: f64 = rng.gen::<f64>();
+    let factor = 1.0 + (u - 0.5) * 2.0 * profile.bandwidth_cv * 1.732;
+    (profile.bandwidth_mbps * factor).max(profile.bandwidth_mbps * 0.05)
 }
 
 #[cfg(test)]
@@ -277,19 +255,232 @@ mod tests {
     use super::*;
     use crate::{FaultEvent, FaultKind};
 
+    /// A private link: one flow (id 0) with an empty plan, under the
+    /// bottleneck plan `plan`.
+    fn one_flow(profile: LinkProfile, seed: u64, plan: FaultPlan) -> SharedLink {
+        let mut link = SharedLink::with_faults(profile, seed, plan);
+        assert_eq!(link.add_flow(FaultPlan::default()), 0);
+        link
+    }
+
     #[test]
-    fn single_flow_matches_the_single_session_link_exactly() {
-        let (mut single, mut shared) = paired_single_flow(LinkProfile::wifi(), 77);
-        for i in 0..200 {
+    fn identical_seeds_give_identical_traces() {
+        let mut a = one_flow(LinkProfile::wifi(), 7, FaultPlan::default());
+        let mut b = one_flow(LinkProfile::wifi(), 7, FaultPlan::default());
+        for i in 0..50 {
+            let ta = a.send(0, 10_000, i as f64 * 16.66);
+            let tb = b.send(0, 10_000, i as f64 * 16.66);
+            assert_eq!(ta, tb);
+        }
+    }
+
+    #[test]
+    fn small_frames_on_idle_link_always_arrive() {
+        let mut link = one_flow(LinkProfile::wifi(), 3, FaultPlan::default());
+        for i in 0..100 {
+            let t = link.send(0, 2_000, i as f64 * 16.66);
+            assert!(t.delivered());
+            assert!(t.transit_ms >= link.profile().rtt_ms / 2.0);
+        }
+        assert_eq!(link.stats(0).drop_rate(), 0.0);
+    }
+
+    #[test]
+    fn queue_drains_over_time() {
+        let mut link = one_flow(
+            LinkProfile {
+                bandwidth_cv: 0.0,
+                jitter_ms: 0.0,
+                ..LinkProfile::wifi()
+            },
+            1,
+            FaultPlan::default(),
+        );
+        // back-to-back sends at the same instant queue up
+        let t1 = link.send(0, 40_000, 0.0);
+        let t2 = link.send(0, 40_000, 0.0);
+        assert!(t2.transit_ms > t1.transit_ms);
+        // after a long idle gap the queue is empty again
+        let t3 = link.send(0, 40_000, 1000.0);
+        assert!((t3.transit_ms - t1.transit_ms).abs() < 1e-6);
+    }
+
+    #[test]
+    fn drop_rate_counts_correctly() {
+        let mut link = one_flow(
+            LinkProfile {
+                bandwidth_mbps: 1.0,
+                bandwidth_cv: 0.0,
+                queue_limit_ms: 10.0,
+                ..LinkProfile::wifi()
+            },
+            1,
+            FaultPlan::default(),
+        );
+        // 10 KB at 1 Mbps = 80 ms of serialization > 10 ms queue limit
+        let t = link.send(0, 10_000, 0.0);
+        assert_eq!(t.drop_cause, Some(DropCause::QueueOverflow));
+        assert_eq!(link.stats(0).drop_rate(), 1.0);
+        assert_eq!(link.stats(0).sent, 1);
+    }
+
+    #[test]
+    fn control_latency_is_half_rtt_plus_jitter() {
+        let mut link = one_flow(
+            LinkProfile {
+                jitter_ms: 0.0,
+                ..LinkProfile::wifi()
+            },
+            9,
+            FaultPlan::default(),
+        );
+        assert!((link.control_latency_ms(0) - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn outage_window_drops_everything_with_the_outage_cause() {
+        let plan = FaultPlan::new(vec![FaultEvent {
+            start_ms: 100.0,
+            end_ms: 300.0,
+            kind: FaultKind::Outage,
+        }]);
+        let mut link = one_flow(LinkProfile::wifi(), 3, plan);
+        for i in 0..30 {
             let t = i as f64 * 16.66;
-            let a = single.send(24_000, t);
-            let b = shared.send(0, 24_000, t);
-            assert_eq!(a.drop_cause, b.drop_cause, "t={t}");
-            if a.delivered() {
-                assert_eq!(a.transit_ms.to_bits(), b.transit_ms.to_bits(), "t={t}");
+            let transfer = link.send(0, 2_000, t);
+            if (100.0..300.0).contains(&t) {
+                assert_eq!(transfer.drop_cause, Some(DropCause::Outage), "t={t}");
+            } else {
+                assert!(transfer.delivered(), "t={t}");
             }
         }
-        assert!(shared.stats(0).consistent());
+    }
+
+    #[test]
+    fn bandwidth_collapse_induces_queue_overflow_drops() {
+        // a stream that fits the healthy link comfortably overflows the
+        // queue once the collapse leaves a tenth of the bandwidth
+        let plan = FaultPlan::new(vec![FaultEvent {
+            start_ms: 1000.0,
+            end_ms: 4000.0,
+            kind: FaultKind::BandwidthCollapse { factor: 0.05 },
+        }]);
+        let mut clean = one_flow(LinkProfile::wifi(), 11, FaultPlan::default());
+        let mut faulted = one_flow(LinkProfile::wifi(), 11, plan);
+        let mut overflow_in_window = 0u32;
+        for i in 0..360 {
+            let t = i as f64 * 16.66;
+            assert!(
+                clean.send(0, 50_000, t).delivered(),
+                "clean link drops at {t}"
+            );
+            let transfer = faulted.send(0, 50_000, t);
+            if transfer.drop_cause == Some(DropCause::QueueOverflow)
+                && (1000.0..4000.0).contains(&t)
+            {
+                overflow_in_window += 1;
+            }
+        }
+        assert!(
+            overflow_in_window > 60,
+            "only {overflow_in_window} overflow drops during the collapse"
+        );
+        assert!(faulted.stats(0).drop_rate() > clean.stats(0).drop_rate());
+    }
+
+    #[test]
+    fn faulted_links_are_deterministic_and_share_the_seed_trace() {
+        let plan = || {
+            FaultPlan::new(vec![
+                FaultEvent {
+                    start_ms: 500.0,
+                    end_ms: 900.0,
+                    kind: FaultKind::BandwidthCollapse { factor: 0.2 },
+                },
+                FaultEvent {
+                    start_ms: 1200.0,
+                    end_ms: 1400.0,
+                    kind: FaultKind::JitterSpike { factor: 3.0 },
+                },
+            ])
+        };
+        // NaN-valued drop fields defeat PartialEq, so compare bitwise
+        let same = |x: &Transfer, y: &Transfer| {
+            x.drop_cause == y.drop_cause && x.transit_ms.to_bits() == y.transit_ms.to_bits()
+        };
+        let mut a = one_flow(LinkProfile::mmwave_5g(), 21, plan());
+        let mut b = one_flow(LinkProfile::mmwave_5g(), 21, plan());
+        let mut unfaulted = one_flow(LinkProfile::mmwave_5g(), 21, FaultPlan::default());
+        for i in 0..120 {
+            let t = i as f64 * 16.66;
+            let ta = a.send(0, 30_000, t);
+            let tb = b.send(0, 30_000, t);
+            assert!(same(&ta, &tb), "t={t}: {ta:?} vs {tb:?}");
+            let tu = unfaulted.send(0, 30_000, t);
+            // outside every fault window, before the first one perturbs the
+            // queue, the faulted link matches the bare-seed trace exactly
+            if t < 500.0 {
+                assert!(same(&ta, &tu), "t={t}: {ta:?} vs {tu:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_spikes_stretch_transit_and_only_flow_spikes_reach_control_packets() {
+        // three links on one seed: quiet, a bottleneck-wide spike, and the
+        // same spike on flow 0 alone; every send sees the same queue and
+        // the same jitter draw, so any difference is the spike factor
+        let spike = || {
+            FaultPlan::new(vec![FaultEvent {
+                start_ms: 0.0,
+                end_ms: 1_000.0,
+                kind: FaultKind::JitterSpike { factor: 4.0 },
+            }])
+        };
+        let two_flows = |shared: FaultPlan, flow0: FaultPlan| {
+            let mut link = SharedLink::with_faults(LinkProfile::wifi(), 17, shared);
+            link.add_flow(flow0);
+            link.add_flow(FaultPlan::default());
+            link
+        };
+        let mut quiet = two_flows(FaultPlan::default(), FaultPlan::default());
+        let mut shared = two_flows(spike(), FaultPlan::default());
+        let mut local = two_flows(FaultPlan::default(), spike());
+        let mut transit = [[0.0f64; 2]; 3];
+        for i in 0..30 {
+            let t = i as f64 * 16.66;
+            for flow in 0..2 {
+                let q = quiet.control_latency_ms(flow);
+                // a bottleneck spike leaves control packets alone; a flow
+                // spike stretches that flow's control packets too
+                assert_eq!(shared.control_latency_ms(flow).to_bits(), q.to_bits());
+                let l = local.control_latency_ms(flow);
+                if flow == 0 {
+                    assert!(l >= q, "t={t}: flow-local spike shrank control jitter");
+                } else {
+                    assert_eq!(l.to_bits(), q.to_bits(), "t={t}");
+                }
+                for (sum, link) in transit
+                    .iter_mut()
+                    .zip([&mut quiet, &mut shared, &mut local])
+                {
+                    let tr = link.send(flow, 2_000, t);
+                    assert!(tr.delivered(), "t={t}");
+                    sum[flow] += tr.transit_ms;
+                }
+            }
+        }
+        let [quiet, shared, local] = transit;
+        for flow in 0..2 {
+            assert!(
+                shared[flow] > quiet[flow],
+                "flow {flow}: a bottleneck spike must stretch transit ({:.3} vs {:.3} ms)",
+                shared[flow],
+                quiet[flow]
+            );
+        }
+        assert!(local[0] > quiet[0]);
+        assert_eq!(local[1].to_bits(), quiet[1].to_bits());
     }
 
     #[test]
@@ -393,7 +584,7 @@ mod tests {
                 let t = i as f64 * 16.66;
                 for f in [f0, f1] {
                     let tr = link.send(f, 60_000, t);
-                    out.push((tr.drop_cause, tr.arrival_ms.to_bits()));
+                    out.push((tr.drop_cause, tr.transit_ms.to_bits()));
                 }
             }
             out
@@ -402,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_tracks_delivered_bytes_and_allocated_rate() {
+    fn ledger_tracks_delivered_bytes() {
         let profile = LinkProfile {
             bandwidth_cv: 0.0,
             jitter_ms: 0.0,
@@ -416,7 +607,6 @@ mod tests {
         }]));
         for i in 0..60 {
             let t = i as f64 * 16.66;
-            link.note_allocation(f, 18.0);
             let _ = link.send(f, 10_000, t);
         }
         let s = link.stats(f);
@@ -426,10 +616,6 @@ mod tests {
             s.bytes - s.dropped * 10_000,
             "delivered bytes must exclude exactly the dropped frames"
         );
-        assert_eq!(s.alloc_ticks, 60);
-        assert_eq!(s.allocated_kbps_sum, 60 * 18_000);
-        assert_eq!(s.mean_allocated_mbps(), Some(18.0));
-        assert_eq!(FlowStats::default().mean_allocated_mbps(), None);
         assert!(s.consistent());
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use gss::frame::Resolution;
-use gss::net::{stream_drop_rate, Link, LinkProfile};
+use gss::net::{stream_drop_rate, FaultPlan, LinkProfile, SharedLink};
 
 /// Rough coded bytes per frame at 60 FPS for each resolution, scaled from
 /// the codec's measured 720p output (sublinear in pixels, exponent 0.835 —
@@ -48,10 +48,11 @@ fn main() {
 
     // latency distribution of the stream GameStreamSR actually ships
     println!("\ndownlink transit latency for the 720p stream over WiFi:");
-    let mut link = Link::new(LinkProfile::wifi(), 7);
+    let mut link = SharedLink::new(LinkProfile::wifi(), 7);
+    let flow = link.add_flow(FaultPlan::default());
     let mut transits: Vec<f64> = (0..1800)
         .filter_map(|i| {
-            let t = link.send(bytes_per_frame(Resolution::P720), i as f64 * 16.66);
+            let t = link.send(flow, bytes_per_frame(Resolution::P720), i as f64 * 16.66);
             t.delivered().then_some(t.transit_ms)
         })
         .collect();

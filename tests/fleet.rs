@@ -245,9 +245,9 @@ fn decoder_crash_storm_stays_inside_its_session() {
     );
 }
 
-/// A two-session fleet whose allocator has nothing to split. A zero fair
-/// share must not panic: every session streams its whole tenancy with its
-/// rate controller pinned at the quantizer floor.
+/// A two-session fleet whose allocator grants nothing. A zero grant must
+/// not panic: every session streams its whole tenancy with its rate
+/// controller pinned at the quantizer floor.
 fn zero_budget_fleet(configure: impl FnOnce(&mut FleetConfig)) -> FleetReport {
     let ticks = 30;
     let mut config = FleetConfig::new(LinkProfile::fiber(), 0x2e60).with_ticks(ticks);
@@ -259,7 +259,8 @@ fn zero_budget_fleet(configure: impl FnOnce(&mut FleetConfig)) -> FleetReport {
     let report = FleetSim::new(config)
         .run_until_idle()
         .expect("zero-budget fleet");
-    assert_eq!(report.budget_mbps, 0.0);
+    let alloc = report.watch.series.get("alloc-mbps").expect("alloc series");
+    assert_eq!(alloc.max(), Some(0.0), "the allocator granted a rate");
     assert!(report.flows_consistent());
     for s in &report.sessions {
         assert_eq!(
@@ -268,7 +269,6 @@ fn zero_budget_fleet(configure: impl FnOnce(&mut FleetConfig)) -> FleetReport {
             "session {} lost frames",
             s.spec
         );
-        assert_eq!(s.flow.mean_allocated_mbps(), Some(0.0));
         assert_drops_match_the_ledger(s);
         let quality = s
             .telemetry
@@ -286,6 +286,7 @@ fn zero_budget_fleet(configure: impl FnOnce(&mut FleetConfig)) -> FleetReport {
 #[test]
 fn zero_uplink_utilization_streams_at_the_rate_floor() {
     let report = zero_budget_fleet(|c| c.uplink_utilization = 0.0);
+    assert_eq!(report.budget_mbps, 0.0);
     // the fiber itself is healthy, so floor-rate frames get through
     for s in &report.sessions {
         assert_eq!(s.flow.dropped, 0, "session {} dropped frames", s.spec);
@@ -295,6 +296,7 @@ fn zero_uplink_utilization_streams_at_the_rate_floor() {
 #[test]
 fn zero_bandwidth_link_streams_at_the_rate_floor() {
     let report = zero_budget_fleet(|c| c.link.bandwidth_mbps = 0.0);
+    assert_eq!(report.budget_mbps, 0.0);
     // a link with no bandwidth delivers nothing: every frame overflows
     for s in &report.sessions {
         assert_eq!(
@@ -302,6 +304,16 @@ fn zero_bandwidth_link_streams_at_the_rate_floor() {
             "session {} got a frame through a dead link",
             s.spec
         );
+    }
+}
+
+#[test]
+fn zero_session_rate_streams_at_the_rate_floor() {
+    // the budget is healthy, but a zero nominal rate grants nothing
+    let report = zero_budget_fleet(|c| c.session_rate_mbps = 0.0);
+    assert!(report.budget_mbps > 0.0);
+    for s in &report.sessions {
+        assert_eq!(s.flow.dropped, 0, "session {} dropped frames", s.spec);
     }
 }
 
