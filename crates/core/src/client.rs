@@ -3,28 +3,13 @@
 //! Data path per frame: hardware decode of the 720p packet → extract the
 //! RoI patch → **in parallel**, DNN-SR the RoI (NPU) and bilinear-upscale
 //! the rest of the frame (GPU) → merge into the high-resolution
-//! framebuffer. The parallelism is real (crossbeam scoped threads), exactly
-//! mirroring the NPU ∥ GPU concurrency of the paper's client.
+//! framebuffer. The parallelism is real (a scoped thread for the NPU leg),
+//! exactly mirroring the NPU ∥ GPU concurrency of the paper's client.
 
 use crate::GssError;
 use gss_codec::{Decoder, EncodedFrame};
 use gss_frame::{Frame, Rect};
 use gss_sr::{InterpKernel, InterpUpscaler, ModelTier, NeuralSr, Upscaler};
-use serde::{Deserialize, Serialize};
-
-/// Modeled stage occupancy of one client frame (filled in by the session
-/// simulator from the platform model; the client itself only moves pixels).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ClientTiming {
-    /// Hardware decode, ms.
-    pub decode_ms: f64,
-    /// RoI DNN SR on the NPU, ms.
-    pub npu_ms: f64,
-    /// Non-RoI bilinear on the GPU, ms.
-    pub gpu_ms: f64,
-    /// Merge into the HR framebuffer, ms.
-    pub merge_ms: f64,
-}
 
 /// One upscaled frame produced by the client.
 #[derive(Debug, Clone)]
@@ -126,19 +111,15 @@ impl GameStreamClient {
                 roi_hr,
             };
         };
-        let (neural_patch, mut hr) = crossbeam::thread::scope(|s| {
+        let mut neural_patch = None;
+        let mut hr = std::thread::scope(|s| {
             // NPU path: DNN SR of the RoI patch
-            let npu = s.spawn(|_| {
-                let patch = lr.crop(roi);
-                neural.upscale(&patch)
-            });
+            s.spawn(|| neural_patch = Some(neural.upscale(&lr.crop(roi))));
             // GPU path: bilinear of the (whole) frame; only the non-RoI
             // part of this output survives the merge
-            let full = self.bilinear.upscale(lr);
-            (npu.join().expect("npu thread panicked"), full)
-        })
-        .expect("upscale scope panicked");
-
+            self.bilinear.upscale(lr)
+        });
+        let neural_patch = neural_patch.expect("the NPU leg ran inside the scope");
         hr.paste(&neural_patch, roi_hr.x, roi_hr.y);
         ClientOutput { frame: hr, roi_hr }
     }

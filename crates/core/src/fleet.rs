@@ -60,7 +60,7 @@ use crate::session::{Pipeline, SessionConfig};
 use crate::step::{SessionStep, Staged};
 use crate::GssError;
 use gss_codec::RateControlConfig;
-use gss_net::{DropCause, FaultPlan, FlowStats, LinkProfile, SharedLink};
+use gss_net::{FaultPlan, FlowStats, LinkProfile, SharedLink};
 use gss_platform::pool::PoolHandle;
 use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_render::GameId;
@@ -314,12 +314,7 @@ struct ActiveSession {
     /// phase (never the server packet itself).
     staged: Option<Staged>,
     error: Option<GssError>,
-    // accumulators
-    frames_total: u64,
-    frames_ok: u64,
-    frames_frozen: u64,
-    deadline_misses: u64,
-    drops_decoder_down: u64,
+    // report accumulators the recorder does not keep
     max_rung: usize,
     mtp_totals: Vec<f64>,
     // per-tick observability, fed by the serial transport phase and read
@@ -367,19 +362,6 @@ impl ActiveSession {
         self.step.seal(&mut frame);
 
         let f = &frame.record;
-        self.frames_total += 1;
-        if f.deadline_met && !f.frozen {
-            self.frames_ok += 1;
-        }
-        if f.frozen {
-            self.frames_frozen += 1;
-        }
-        if !f.deadline_met {
-            self.deadline_misses += 1;
-        }
-        if f.drop_cause == Some(DropCause::DecoderDown) {
-            self.drops_decoder_down += 1;
-        }
         self.max_rung = self.max_rung.max(f.rung);
         self.mtp_totals.push(f.mtp.total_ms());
 
@@ -949,11 +931,6 @@ impl FleetSim {
             trace,
             staged: None,
             error: None,
-            frames_total: 0,
-            frames_ok: 0,
-            frames_frozen: 0,
-            deadline_misses: 0,
-            drops_decoder_down: 0,
             max_rung: 0,
             mtp_totals: Vec::new(),
             prev_delivered: 0,
@@ -984,16 +961,20 @@ impl FleetSim {
         self.watch.starved_max_streak = self.watch.starved_max_streak.max(s.starve.max_streak);
         self.fleet_mtp.append(&mut s.mtp_totals);
         let spec = &self.config.sessions[s.spec_idx];
+        let t = &done.telemetry;
+        let frames_frozen = t.counter(Counter::FramesFrozen);
         self.finished.push(FleetSessionReport {
             spec: s.spec_idx,
             label: format!("{:?} @ {}", spec.game, spec.device.name),
             joined_tick: s.joined_tick,
             left_tick,
-            frames: s.frames_total,
-            frames_ok: s.frames_ok,
-            frames_frozen: s.frames_frozen,
-            deadline_misses: s.deadline_misses,
-            drops_decoder_down: s.drops_decoder_down,
+            frames: t.frames,
+            // a frozen frame upscales nothing, so it never misses: the
+            // misses and the frozen slots are disjoint
+            frames_ok: t.frames - t.deadline_misses - frames_frozen,
+            frames_frozen,
+            deadline_misses: t.deadline_misses,
+            drops_decoder_down: t.counter(Counter::DropsDecoderDown),
             max_rung: s.max_rung,
             telemetry: done.telemetry,
             slo: done.slo,

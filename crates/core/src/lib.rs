@@ -61,7 +61,7 @@ pub mod server;
 pub mod session;
 mod step;
 
-pub use client::{ClientOutput, ClientTiming, GameStreamClient};
+pub use client::{ClientOutput, GameStreamClient};
 pub use degrade::{
     DegradationConfig, DegradationController, LadderRung, LadderStep, NackManager, NackSignal,
     LADDER,

@@ -454,7 +454,7 @@ impl SessionStep {
     ) -> InFlight {
         let now_ms = staged.now_ms;
         let is_intra = staged.frame_type == FrameType::Intra;
-        let uplink_ms = link.control_latency_ms(flow);
+        let uplink_ms = link.control_latency_ms(flow, now_ms);
         let transfer = link.send(flow, staged.bytes, now_ms);
         self.rec
             .gauge(Gauge::LinkBandwidthMbps, link.effective_mbps());

@@ -154,10 +154,11 @@ impl SharedLink {
         self.current_mbps * self.shared_faults.bandwidth_factor(self.clock_ms)
     }
 
-    /// One-way latency sample for a tiny (input/control) packet of `flow`.
-    pub fn control_latency_ms(&mut self, flow: usize) -> f64 {
-        let jitter =
-            self.jitter_sample() * self.flows[flow].fault_plan.jitter_factor(self.clock_ms);
+    /// One-way latency sample for a tiny (input/control) packet of `flow`
+    /// sent at `send_time_ms`; a jitter spike on the flow's own plan
+    /// stretches it while the spike is active at that time.
+    pub fn control_latency_ms(&mut self, flow: usize, send_time_ms: f64) -> f64 {
+        let jitter = self.jitter_sample() * self.flows[flow].fault_plan.jitter_factor(send_time_ms);
         self.profile.rtt_ms / 2.0 + jitter
     }
 
@@ -334,7 +335,7 @@ mod tests {
             9,
             FaultPlan::default(),
         );
-        assert!((link.control_latency_ms(0) - 8.0).abs() < 1e-9);
+        assert!((link.control_latency_ms(0, 0.0) - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -450,11 +451,11 @@ mod tests {
         for i in 0..30 {
             let t = i as f64 * 16.66;
             for flow in 0..2 {
-                let q = quiet.control_latency_ms(flow);
+                let q = quiet.control_latency_ms(flow, t);
                 // a bottleneck spike leaves control packets alone; a flow
                 // spike stretches that flow's control packets too
-                assert_eq!(shared.control_latency_ms(flow).to_bits(), q.to_bits());
-                let l = local.control_latency_ms(flow);
+                assert_eq!(shared.control_latency_ms(flow, t).to_bits(), q.to_bits());
+                let l = local.control_latency_ms(flow, t);
                 if flow == 0 {
                     assert!(l >= q, "t={t}: flow-local spike shrank control jitter");
                 } else {
@@ -481,6 +482,38 @@ mod tests {
         }
         assert!(local[0] > quiet[0]);
         assert_eq!(local[1].to_bits(), quiet[1].to_bits());
+    }
+
+    #[test]
+    fn a_flow_spike_stretches_control_packets_exactly_inside_its_window() {
+        // the control sample is judged at its own send time, not at the
+        // link clock the previous frame left behind
+        let link = |flow_plan: FaultPlan| {
+            let mut link = SharedLink::new(LinkProfile::wifi(), 17);
+            link.add_flow(flow_plan);
+            link
+        };
+        let mut quiet = link(FaultPlan::default());
+        let mut spiked = link(FaultPlan::new(vec![FaultEvent {
+            start_ms: 100.0,
+            end_ms: 200.0,
+            kind: FaultKind::JitterSpike { factor: 4.0 },
+        }]));
+        let mut stretched = Vec::new();
+        for i in 0..20 {
+            let t = i as f64 * 16.66;
+            let q = quiet.control_latency_ms(0, t);
+            if spiked.control_latency_ms(0, t).to_bits() != q.to_bits() {
+                stretched.push(t);
+            }
+            quiet.send(0, 2_000, t);
+            spiked.send(0, 2_000, t);
+        }
+        let inside: Vec<f64> = (0..20)
+            .map(|i| i as f64 * 16.66)
+            .filter(|t| (100.0..200.0).contains(t))
+            .collect();
+        assert_eq!(stretched, inside);
     }
 
     #[test]

@@ -19,18 +19,20 @@
 //!
 //! The worker count is a process-wide knob: [`set_workers`] (the bench
 //! binary's `--threads` flag), the `GSS_THREADS` environment variable, or
-//! the default of `available_parallelism` capped at 8. The `*_with`
-//! variants take an explicit count for paired scalar-vs-parallel identity
-//! tests that must not touch global state, and [`PoolHandle`] captures the
-//! count once at session construction and [binds](PoolHandle::bind) it to
-//! the stepping thread, so concurrent sessions in one process cannot
-//! clobber each other through the global knob.
+//! the default of `available_parallelism` capped at 8. A [`PoolHandle`]
+//! carries an explicit count: its methods run at that count without
+//! touching global state (the paired scalar-vs-parallel identity tests),
+//! and a session captures one at construction and [binds](PoolHandle::bind)
+//! it to the stepping thread, so concurrent sessions in one process cannot
+//! clobber each other through the global knob. A binding covers only the
+//! bound thread: regions nested inside a pool worker (or inside the
+//! client's NPU thread) read the process-wide knob.
 //!
-//! Threads come from the vendored `crossbeam::thread::scope` shim (real OS
-//! threads, structured join), so borrowed inputs flow into workers without
-//! `'static` gymnastics and every worker has exited before a call returns.
+//! Threads come from `std::thread::scope` (real OS threads, structured
+//! join), so borrowed inputs flow into workers without `'static`
+//! gymnastics and every worker has exited before a call returns; a
+//! worker's panic panics the caller once every worker has exited.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -185,8 +187,8 @@ pub fn workers() -> usize {
     }
 }
 
-/// Sets the process-wide worker count (clamped to ≥ 1). `1` disables
-/// thread spawning entirely — the scalar reference path.
+/// Sets the process-wide worker count (clamped to ≥ 1). `1` runs every
+/// pool region inline — the scalar reference path.
 pub fn set_workers(n: usize) {
     WORKERS.store(n.max(1), Ordering::Relaxed);
 }
@@ -220,8 +222,10 @@ pub fn effective_workers() -> usize {
 /// ([`PoolHandle::current`]) and [bound](PoolHandle::bind) for the duration
 /// of each stepping scope, so every `pool::` entry point under that scope
 /// resolves to the session's own capacity regardless of what other
-/// sessions do to the global knob. Outputs are bit-identical at any count
-/// by the determinism contract; the handle pins *scheduling*, not results.
+/// sessions do to the global knob. A binding covers only the bound thread:
+/// regions nested inside a pool worker or the client's NPU thread read the
+/// process-wide knob. Outputs are bit-identical at any count by the
+/// determinism contract; the handle pins *scheduling*, not results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolHandle {
     workers: usize,
@@ -248,28 +252,66 @@ impl PoolHandle {
 
     /// Installs this handle as the calling thread's worker count until the
     /// returned guard drops; nested bindings stack. While bound, implicit
-    /// pool entry points ignore [`set_workers`] from other threads.
+    /// pool entry points on this thread ignore [`set_workers`] from other
+    /// threads; threads spawned under the binding do not inherit it.
     pub fn bind(self) -> PoolBinding {
         let prev = BOUND_WORKERS.with(|w| w.replace(self.workers));
         PoolBinding { prev }
     }
 
-    /// [`map_indexed_with`] at this handle's capacity.
+    /// Computes `f(0), f(1), …, f(n-1)` at this handle's capacity and
+    /// returns the results in index order. Each index writes its own result
+    /// slot, so the output is identical for every worker count.
     pub fn map_indexed<T, F>(self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        map_indexed_with(n, self.workers, f)
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        run_cyclic(out.iter_mut(), self.workers, |i, slot| *slot = Some(f(i)));
+        out.into_iter()
+            .map(|v| v.expect("every index computed"))
+            .collect()
     }
 
-    /// [`for_each_mut_with`] at this handle's capacity.
+    /// Splits `data` into consecutive bands of `band_len` elements (the
+    /// last may be shorter) and calls `f(band_index, band)` for each at
+    /// this handle's capacity. Each band is a disjoint `&mut` sub-slice,
+    /// visited exactly once; band boundaries depend only on
+    /// `(data.len(), band_len)`, so the writes are identical for every
+    /// worker count. Small inputs (< ~4 Ki elements) run inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `band_len` is zero.
+    pub fn for_each_band_mut<T, F>(self, data: &mut [T], band_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert!(band_len > 0, "band length must be nonzero");
+        let workers = if data.len() < MIN_PARALLEL_ELEMS {
+            1
+        } else {
+            self.workers
+        };
+        run_cyclic(data.chunks_mut(band_len), workers, f);
+    }
+
+    /// Visits every element of `data` exactly once as a disjoint `&mut`,
+    /// cyclically assigned across this handle's capacity. Unlike
+    /// [`PoolHandle::for_each_band_mut`] there is no inline-size floor:
+    /// this is for *heavyweight* elements (e.g. whole simulator sessions)
+    /// where even a handful justify threads. Each element's computation
+    /// must be self-contained for the determinism contract to carry:
+    /// assignment picks only which thread runs an element, never what it
+    /// computes.
     pub fn for_each_mut<T, F>(self, data: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        for_each_mut_with(data, self.workers, f);
+        run_cyclic(data.iter_mut(), self.workers, f);
     }
 }
 
@@ -291,174 +333,30 @@ impl Drop for PoolBinding {
     }
 }
 
-/// Cyclic chunk→worker assignment: worker `i` owns chunks
-/// `i, i + parts, i + 2·parts, …`. Per the determinism contract the
-/// assignment only picks *which worker* runs a chunk; chunk boundaries and
-/// the merge order are fixed by the data alone.
-fn assignment(n: usize, parts: usize) -> Vec<std::iter::StepBy<Range<usize>>> {
-    let parts = parts.clamp(1, n.max(1));
-    (0..parts).map(|i| (i..n).step_by(parts)).collect()
-}
-
-/// Computes `f(0), f(1), …, f(n-1)` across the global worker count and
-/// returns the results in index order. See [`map_indexed_with`].
-pub fn map_indexed<T, F>(n: usize, f: F) -> Vec<T>
+/// The one scheduler behind every entry point. Item `i` goes to group
+/// `i % parts` with `parts = min(workers, n)`; each group runs its items
+/// serially, in index order, on its own scoped thread while the caller
+/// waits. Per the determinism contract the grouping only picks *which
+/// thread* runs an item: results travel through the items themselves
+/// (disjoint `&mut` slots or bands), so no thread is joined by hand and the
+/// merge order is the index order. One worker or at most one item runs
+/// inline; accounting mode runs the groups serially and times each one.
+fn run_cyclic<I, F>(items: I, workers: usize, f: F)
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    I: ExactSizeIterator,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
 {
-    map_indexed_with(n, effective_workers(), f)
-}
-
-/// [`map_indexed`] with an explicit worker count. Output is identical for
-/// every `workers` value: indices are split into contiguous ranges, each
-/// range is evaluated serially by one worker, and the per-range result
-/// vectors are concatenated in range order.
-pub fn map_indexed_with<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    if workers <= 1 || n == 1 {
-        return (0..n).map(f).collect();
-    }
-    if ACCOUNTING.load(Ordering::Relaxed) {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let (mut work, mut span) = (0u64, 0u64);
-        let mut per_worker = Vec::with_capacity(workers);
-        for chunks in assignment(n, workers) {
-            let t = Instant::now();
-            for i in chunks {
-                out[i] = Some(f(i));
-            }
-            let ns = t.elapsed().as_nanos() as u64;
-            work += ns;
-            span = span.max(ns);
-            per_worker.push(ns);
-        }
-        record_region(work, span, &per_worker);
-        return out
-            .into_iter()
-            .map(|v| v.expect("every index computed"))
-            .collect();
-    }
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = assignment(n, workers)
-            .into_iter()
-            .map(|chunks| s.spawn(move |_| chunks.map(|i| (i, f(i))).collect::<Vec<(usize, T)>>()))
-            .collect();
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for h in handles {
-            for (i, v) in h.join().expect("pool worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-        out.into_iter()
-            .map(|v| v.expect("every index computed"))
-            .collect()
-    })
-    .expect("pool scope panicked")
-}
-
-/// Splits `data` into consecutive bands of `band_len` elements (the last
-/// may be shorter) and calls `f(band_index, band)` for each, across the
-/// global worker count. See [`for_each_band_mut_with`].
-pub fn for_each_band_mut<T, F>(data: &mut [T], band_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for_each_band_mut_with(data, band_len, effective_workers(), f);
-}
-
-/// [`for_each_band_mut`] with an explicit worker count. Each band is a
-/// disjoint `&mut` sub-slice, visited exactly once; band boundaries depend
-/// only on `(data.len(), band_len)`, so the writes are identical for every
-/// `workers` value. Small inputs (< ~4 Ki elements) run inline.
-///
-/// # Panics
-///
-/// Panics when `band_len` is zero.
-pub fn for_each_band_mut_with<T, F>(data: &mut [T], band_len: usize, workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(band_len > 0, "band length must be nonzero");
-    let n = data.len().div_ceil(band_len);
-    if workers <= 1 || n <= 1 || data.len() < MIN_PARALLEL_ELEMS {
-        for (i, band) in data.chunks_mut(band_len).enumerate() {
-            f(i, band);
-        }
-        return;
-    }
-    // cyclic partition: band i goes to worker i % parts; the bands are
-    // disjoint `&mut` sub-slices, so ownership moves into the groups
-    let parts = workers.min(n);
-    let mut groups: Vec<Vec<(usize, &mut [T])>> = (0..parts).map(|_| Vec::new()).collect();
-    for (i, band) in data.chunks_mut(band_len).enumerate() {
-        groups[i % parts].push((i, band));
-    }
-    if ACCOUNTING.load(Ordering::Relaxed) {
-        let (mut work, mut span) = (0u64, 0u64);
-        let mut per_worker = Vec::with_capacity(parts);
-        for group in groups {
-            let t = Instant::now();
-            for (i, band) in group {
-                f(i, band);
-            }
-            let ns = t.elapsed().as_nanos() as u64;
-            work += ns;
-            span = span.max(ns);
-            per_worker.push(ns);
-        }
-        record_region(work, span, &per_worker);
-        return;
-    }
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        for group in groups {
-            s.spawn(move |_| {
-                for (i, band) in group {
-                    f(i, band);
-                }
-            });
-        }
-    })
-    .expect("pool scope panicked");
-}
-
-/// Visits every element of `data` exactly once as a disjoint `&mut`,
-/// cyclically assigned across `workers` threads. Unlike
-/// [`for_each_band_mut_with`] there is no inline-size floor: this is for
-/// *heavyweight* elements (e.g. whole simulator sessions) where even a
-/// handful justify threads. Each element's computation must be
-/// self-contained for the determinism contract to carry: assignment picks
-/// only which thread runs an element, never what it computes.
-pub fn for_each_mut_with<T, F>(data: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = data.len();
-    if workers <= 1 || n <= 1 {
-        for (i, item) in data.iter_mut().enumerate() {
+    if workers <= 1 || items.len() <= 1 {
+        for (i, item) in items.enumerate() {
             f(i, item);
         }
         return;
     }
-    let parts = workers.min(n);
-    let mut groups: Vec<Vec<(usize, &mut T)>> = (0..parts).map(|_| Vec::new()).collect();
-    for (i, item) in data.iter_mut().enumerate() {
-        groups[i % parts].push((i, item));
-    }
+    let groups = cyclic_groups(items, workers);
     if ACCOUNTING.load(Ordering::Relaxed) {
         let (mut work, mut span) = (0u64, 0u64);
-        let mut per_worker = Vec::with_capacity(parts);
+        let mut per_worker = Vec::with_capacity(groups.len());
         for group in groups {
             let t = Instant::now();
             for (i, item) in group {
@@ -473,16 +371,53 @@ where
         return;
     }
     let f = &f;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for group in groups {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (i, item) in group {
                     f(i, item);
                 }
             });
         }
-    })
-    .expect("pool scope panicked");
+    });
+}
+
+/// Cyclic partition of `items` into `min(workers, n)` groups: group `g`
+/// holds items `g, g + parts, g + 2·parts, …`, each tagged with its index.
+fn cyclic_groups<I: ExactSizeIterator>(items: I, workers: usize) -> Vec<Vec<(usize, I::Item)>> {
+    let parts = workers.clamp(1, items.len().max(1));
+    let per_group = items.len().div_ceil(parts);
+    let mut groups: Vec<Vec<_>> = (0..parts).map(|_| Vec::with_capacity(per_group)).collect();
+    for (i, item) in items.enumerate() {
+        groups[i % parts].push((i, item));
+    }
+    groups
+}
+
+/// Computes `f(0), f(1), …, f(n-1)` at the worker count in effect on this
+/// thread and returns the results in index order. See
+/// [`PoolHandle::map_indexed`].
+pub fn map_indexed<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    PoolHandle::current().map_indexed(n, f)
+}
+
+/// Splits `data` into consecutive bands of `band_len` elements (the last
+/// may be shorter) and calls `f(band_index, band)` for each, at the worker
+/// count in effect on this thread. See [`PoolHandle::for_each_band_mut`].
+///
+/// # Panics
+///
+/// Panics when `band_len` is zero.
+pub fn for_each_band_mut<T, F>(data: &mut [T], band_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    PoolHandle::current().for_each_band_mut(data, band_len, f);
 }
 
 /// Builds a `width × height` row-major buffer by filling each row in
@@ -505,15 +440,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn assignment_covers_every_chunk_exactly_once_and_balances() {
+    fn cyclic_groups_cover_every_chunk_exactly_once_and_balance() {
         for n in [0usize, 1, 2, 7, 8, 9, 64, 1000] {
             for parts in [1usize, 2, 3, 4, 8, 16] {
-                let groups = assignment(n, parts);
-                let mut all: Vec<usize> = groups.iter().cloned().flatten().collect();
+                let groups = cyclic_groups(0..n, parts);
+                // every item keeps its own index, and group g holds items
+                // g, g + parts, g + 2·parts, …
+                for (g, group) in groups.iter().enumerate() {
+                    for (k, &(i, item)) in group.iter().enumerate() {
+                        assert_eq!((i, item), (g + k * groups.len(), i));
+                    }
+                }
+                let mut all: Vec<usize> = groups.iter().flatten().map(|&(i, _)| i).collect();
                 all.sort_unstable();
                 assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
                 // cyclic assignment: group sizes differ by at most one
-                let sizes: Vec<usize> = groups.iter().cloned().map(Iterator::count).collect();
+                let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
                 let (lo, hi) = (sizes.iter().min(), sizes.iter().max());
                 assert!(
                     hi.unwrap_or(&0) - lo.unwrap_or(&0) <= 1,
@@ -527,7 +469,7 @@ mod tests {
     fn map_indexed_matches_scalar_for_every_worker_count() {
         let scalar: Vec<u64> = (0..137).map(|i| (i as u64) * 3 + 1).collect();
         for w in [1usize, 2, 3, 4, 8, 16] {
-            let par = map_indexed_with(137, w, |i| (i as u64) * 3 + 1);
+            let par = PoolHandle::with_workers(w).map_indexed(137, |i| (i as u64) * 3 + 1);
             assert_eq!(par, scalar, "workers={w}");
         }
     }
@@ -539,7 +481,7 @@ mod tests {
         let f = |i: usize| (0..50).fold(0.0f32, |acc, k| acc + (i * 50 + k) as f32 * 0.731);
         let scalar: Vec<f32> = (0..33).map(f).collect();
         for w in [2usize, 5, 8] {
-            let par = map_indexed_with(33, w, f);
+            let par = PoolHandle::with_workers(w).map_indexed(33, f);
             assert_eq!(
                 par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -551,7 +493,7 @@ mod tests {
     fn bands_visit_every_element_once() {
         for w in [1usize, 2, 4, 8] {
             let mut data = vec![0u32; 10_000];
-            for_each_band_mut_with(&mut data, 300, w, |band, slice| {
+            PoolHandle::with_workers(w).for_each_band_mut(&mut data, 300, |band, slice| {
                 for (j, v) in slice.iter_mut().enumerate() {
                     *v += (band * 300 + j) as u32 + 1;
                 }
@@ -564,7 +506,7 @@ mod tests {
     #[test]
     fn short_final_band_is_handled() {
         let mut data = vec![0u8; 4097]; // above the inline threshold
-        for_each_band_mut_with(&mut data, 1024, 4, |band, slice| {
+        PoolHandle::with_workers(4).for_each_band_mut(&mut data, 1024, |band, slice| {
             for v in slice.iter_mut() {
                 *v = band as u8 + 1;
             }
@@ -609,34 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn accounting_measures_work_and_span_without_changing_results() {
-        let f = |i: usize| (0..400).fold(0.0f64, |acc, k| acc + ((i + k) as f64).sqrt());
-        let scalar: Vec<f64> = (0..64).map(f).collect();
-        start_accounting();
-        let accounted = map_indexed_with(64, 4, f);
-        let mut banded = vec![0u64; 8192];
-        for_each_band_mut_with(&mut banded, 1024, 4, |b, band| {
-            for (j, v) in band.iter_mut().enumerate() {
-                *v = (b * 1024 + j) as u64;
-            }
-        });
-        let acct = stop_accounting();
-        assert_eq!(accounted, scalar);
-        assert!(banded.iter().enumerate().all(|(i, &v)| v == i as u64));
-        // the span is the most-loaded worker per region: never more than
-        // the total work, and nonzero once any region ran
-        assert!(acct.span_ns > 0);
-        assert!(acct.span_ns <= acct.work_ns);
-        // per-worker costs partition the work: they sum to it exactly, no
-        // worker exceeds the span (max-of-sums <= sum-of-maxes), and both
-        // 4-worker regions above populate all four slots
-        assert_eq!(acct.per_worker_ns.iter().sum::<u64>(), acct.work_ns);
-        assert!(acct.per_worker_ns.iter().all(|&ns| ns <= acct.span_ns));
-        assert_eq!(acct.per_worker_ns.len(), 4);
-        assert!(acct.imbalance() >= 1.0);
-    }
-
-    #[test]
     fn imbalance_of_empty_accounting_is_one() {
         let acct = PoolAccounting::default();
         assert_eq!(acct.imbalance(), 1.0);
@@ -664,18 +578,19 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_noop() {
-        assert!(map_indexed_with(0, 4, |i| i).is_empty());
+        let pool = PoolHandle::with_workers(4);
+        assert!(pool.map_indexed(0, |i| i).is_empty());
         let mut empty: Vec<u8> = Vec::new();
-        for_each_band_mut_with(&mut empty, 16, 4, |_, _| panic!("no bands"));
+        pool.for_each_band_mut(&mut empty, 16, |_, _| panic!("no bands"));
         let mut none: Vec<u8> = Vec::new();
-        for_each_mut_with(&mut none, 4, |_, _| panic!("no elements"));
+        pool.for_each_mut(&mut none, |_, _| panic!("no elements"));
     }
 
     #[test]
     fn for_each_mut_visits_every_element_once_at_any_worker_count() {
         for w in [1usize, 2, 3, 8, 16] {
             let mut data = vec![0u32; 13];
-            for_each_mut_with(&mut data, w, |i, v| *v += i as u32 + 1);
+            PoolHandle::with_workers(w).for_each_mut(&mut data, |i, v| *v += i as u32 + 1);
             let expect: Vec<u32> = (1..=13).collect();
             assert_eq!(data, expect, "workers={w}");
         }
@@ -685,5 +600,34 @@ mod tests {
     fn handle_workers_floor_is_one() {
         assert_eq!(PoolHandle::with_workers(0).workers(), 1);
         assert!(PoolHandle::current().workers() >= 1);
+    }
+
+    // a panicking item on a worker thread must panic the caller, never
+    // leave a hole in the output
+    #[test]
+    #[should_panic]
+    fn a_panicking_index_panics_the_caller() {
+        PoolHandle::with_workers(4).map_indexed(16, |i| {
+            assert_ne!(i, 5, "index 5 fails");
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_band_panics_the_caller() {
+        let mut data = vec![0u8; 8192];
+        PoolHandle::with_workers(4).for_each_band_mut(&mut data, 1024, |band, _| {
+            assert_ne!(band, 5, "band 5 fails");
+        });
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_element_panics_the_caller() {
+        let mut data = vec![0u8; 16];
+        PoolHandle::with_workers(4).for_each_mut(&mut data, |i, _| {
+            assert_ne!(i, 5, "element 5 fails");
+        });
     }
 }

@@ -7,9 +7,9 @@ use gamestreamsr::degrade::DegradationConfig;
 use gamestreamsr::fleet::{
     AdmissionPolicy, FleetConfig, FleetReport, FleetSessionReport, FleetSessionSpec, FleetSim,
 };
-use gamestreamsr::session::{run_session, Pipeline, SessionConfig};
+use gamestreamsr::session::{run_session, FrameRecord, Pipeline, SessionConfig};
 use gss_codec::RateControlConfig;
-use gss_net::{FaultEvent, FaultKind, FaultPlan, LinkProfile};
+use gss_net::{DropCause, FaultEvent, FaultKind, FaultPlan, LinkProfile};
 use gss_platform::pool::PoolHandle;
 use gss_platform::DeviceProfile;
 use gss_render::GameId;
@@ -414,12 +414,26 @@ fn one_session_fleet_reproduces_run_session() {
             "{case}: attribution"
         );
         assert_eq!(fs.recovery, rs.recovery, "{case}: recovery");
-        let frozen = rs.frames.iter().filter(|f| f.frozen).count() as u64;
-        let misses = rs.frames.iter().filter(|f| !f.deadline_met).count() as u64;
+        // the fleet derives `frames_ok` as frames − misses − frozen, which
+        // holds because a frozen frame upscales nothing and never misses
+        assert!(
+            rs.frames.iter().all(|f| !f.frozen || f.deadline_met),
+            "{case}: a frozen frame missed its deadline"
+        );
+        let count = |keep: fn(&FrameRecord) -> bool| rs.frames.iter().filter(|f| keep(f)).count();
+        let frozen = count(|f| f.frozen) as u64;
+        let misses = count(|f| !f.deadline_met) as u64;
+        let ok = count(|f| f.deadline_met && !f.frozen) as u64;
+        let decoder_down = count(|f| f.drop_cause == Some(DropCause::DecoderDown)) as u64;
         assert_eq!(
             (fs.frames_frozen, fs.deadline_misses, fs.max_rung),
             (frozen, misses, rs.max_rung()),
             "{case}: frozen / miss / max-rung tallies"
+        );
+        assert_eq!(
+            (fs.frames, fs.frames_ok, fs.drops_decoder_down),
+            (rs.frames.len() as u64, ok, decoder_down),
+            "{case}: frame / ok / decoder-down tallies"
         );
         assert!(
             !crashes || frozen > 0,
