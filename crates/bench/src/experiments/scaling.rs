@@ -169,23 +169,3 @@ pub fn run(options: &RunOptions) {
         }
     );
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_ladder_is_deterministic_and_scales() {
-        let points = measure(&RunOptions {
-            quick: true,
-            ..Default::default()
-        });
-        assert_eq!(points.len(), WORKER_LADDER.len());
-        assert!(points.iter().all(|p| p.identical), "{points:?}");
-        let at4 = points.iter().find(|p| p.workers == 4).unwrap();
-        assert!(
-            at4.speedup > 1.0,
-            "no parallel gain at 4 workers: {points:?}"
-        );
-    }
-}

@@ -1,8 +1,8 @@
 //! Consolidation-experiment gate: the N=4 sweep point must be
 //! deterministic and hold every session healthy. Lives in its own test
 //! binary because it saturates the worker pool for seconds — inside the
-//! lib suite it would starve the scaling ladder's wall-clock speedup
-//! assertion running in a sibling thread.
+//! lib suite it would slow every test running beside it in a sibling
+//! thread.
 
 use gss_bench::experiments::consolidate::{fleet_config, ConsolidationPoint};
 

@@ -74,9 +74,7 @@ pub use fleet::{
 pub use mtp::MtpBreakdown;
 pub use negotiate::{negotiate, NegotiatedStream, StreamOffer};
 pub use nemo::{NemoClient, NemoOutput};
-pub use recovery::{
-    RecoveryConfig, RecoveryEvent, RecoveryMachine, RecoveryState, RecoverySummary,
-};
+pub use recovery::{RecoveryEvent, RecoveryMachine, RecoveryState, RecoverySummary};
 pub use roi::{RoiDetector, RoiDetectorConfig, RoiResult, RoiWindowPlan};
 pub use server::{GameStreamServer, ServerConfig, ServerPacket};
 pub use session::{

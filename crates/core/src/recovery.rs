@@ -13,11 +13,11 @@
 //!
 //! with a per-state frame budget at every step. Repeated crashes (or
 //! keyframe-resync timeouts) grow the reconfigure budget with bounded
-//! exponential backoff, and after more than
-//! [`RecoveryConfig::max_strikes`] failures inside one stability window
-//! the machine falls back permanently to a *safe profile* — the session
-//! pins the degradation ladder to its bilinear floor rather than risking
-//! another crash loop. During recovery the session repeats the last good
+//! exponential backoff, and after more than [`MAX_STRIKES`] failures
+//! inside one stability window the machine falls back permanently to a
+//! *safe profile* — the session pins the degradation ladder to its
+//! bilinear floor rather than risking another crash loop. The budgets are
+//! the constants below. During recovery the session repeats the last good
 //! frame (frozen display slots) with the ladder floor engaged, and resyncs
 //! via a NACK-forced keyframe on re-entry, so a crash never turns into a
 //! permanent freeze.
@@ -67,42 +67,24 @@ impl RecoveryState {
     }
 }
 
-/// Per-state frame budgets and the backoff/fallback policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryConfig {
-    /// Frames spent flushing the dead codec's buffers.
-    pub drain_frames: usize,
-    /// Base frames spent reinitializing the codec (before backoff).
-    pub reconfigure_frames: usize,
-    /// Frames to wait for the resync keyframe before declaring the
-    /// attempt failed and reconfiguring again.
-    pub await_keyframe_frames: usize,
-    /// First backoff increment added to the reconfigure budget on the
-    /// second strike; doubles per further strike.
-    pub backoff_base_frames: usize,
-    /// Ceiling on the backoff increment, frames.
-    pub backoff_max_frames: usize,
-    /// Strikes (crashes plus failed resyncs inside one stability window)
-    /// tolerated before the permanent safe-profile fallback.
-    pub max_strikes: u32,
-    /// Healthy frames after a recovery before the strike count forgives —
-    /// a crash landing inside this window counts as a repeat offence.
-    pub stability_frames: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            drain_frames: 2,
-            reconfigure_frames: 3,
-            await_keyframe_frames: 8,
-            backoff_base_frames: 4,
-            backoff_max_frames: 32,
-            max_strikes: 3,
-            stability_frames: 240,
-        }
-    }
-}
+/// Frames spent flushing the dead codec's buffers.
+pub const DRAIN_FRAMES: usize = 2;
+/// Base frames spent reinitializing the codec (before backoff).
+pub const RECONFIGURE_FRAMES: usize = 3;
+/// Frames to wait for the resync keyframe before declaring the attempt
+/// failed and reconfiguring again.
+pub const AWAIT_KEYFRAME_FRAMES: usize = 8;
+/// First backoff increment added to the reconfigure budget on the second
+/// strike; doubles per further strike.
+pub const BACKOFF_BASE_FRAMES: usize = 4;
+/// Ceiling on the backoff increment, frames.
+pub const BACKOFF_MAX_FRAMES: usize = 32;
+/// Strikes (crashes plus failed resyncs inside one stability window)
+/// tolerated before the permanent safe-profile fallback.
+pub const MAX_STRIKES: u32 = 3;
+/// Healthy frames after a recovery before the strike count forgives — a
+/// crash landing inside this window counts as a repeat offence.
+pub const STABILITY_FRAMES: usize = 240;
 
 /// One observable transition of the machine, for trace instants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -209,7 +191,6 @@ impl RecoverySummary {
 /// both return the transitions they caused, for telemetry.
 #[derive(Debug, Clone)]
 pub struct RecoveryMachine {
-    config: RecoveryConfig,
     state: RecoveryState,
     frames_in_state: usize,
     reconfigure_budget: usize,
@@ -223,30 +204,11 @@ pub struct RecoveryMachine {
 
 impl RecoveryMachine {
     /// Builds a healthy machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a per-state budget is zero (the machine could spin in
-    /// place) or the backoff ceiling is below its base.
-    pub fn new(config: RecoveryConfig) -> Self {
-        assert!(config.drain_frames >= 1, "drain budget must be >= 1 frame");
-        assert!(
-            config.reconfigure_frames >= 1,
-            "reconfigure budget must be >= 1 frame"
-        );
-        assert!(
-            config.await_keyframe_frames >= 1,
-            "keyframe window must be >= 1 frame"
-        );
-        assert!(
-            config.backoff_max_frames >= config.backoff_base_frames,
-            "backoff ceiling must be >= its base"
-        );
+    pub fn new() -> Self {
         RecoveryMachine {
-            config,
             state: RecoveryState::Healthy,
             frames_in_state: 0,
-            reconfigure_budget: config.reconfigure_frames,
+            reconfigure_budget: RECONFIGURE_FRAMES,
             strikes: 0,
             stability_left: 0,
             safe_profile: false,
@@ -329,7 +291,7 @@ impl RecoveryMachine {
             RecoveryState::Draining => {
                 self.episode_frames += 1;
                 self.frames_in_state += 1;
-                if self.frames_in_state >= self.config.drain_frames {
+                if self.frames_in_state >= DRAIN_FRAMES {
                     self.enter_reconfiguring(&mut events);
                 }
             }
@@ -360,14 +322,14 @@ impl RecoveryMachine {
         if keyframe_decoded {
             self.state = RecoveryState::Healthy;
             self.frames_in_state = 0;
-            self.stability_left = self.config.stability_frames;
+            self.stability_left = STABILITY_FRAMES;
             self.summary.recovery_frames.push(self.episode_frames);
             events.push(RecoveryEvent::Recovered {
                 frames: self.episode_frames,
             });
         } else {
             self.frames_in_state += 1;
-            if self.frames_in_state >= self.config.await_keyframe_frames {
+            if self.frames_in_state >= AWAIT_KEYFRAME_FRAMES {
                 self.summary.failed_attempts += 1;
                 self.strikes += 1;
                 events.push(RecoveryEvent::AttemptFailed {
@@ -387,10 +349,10 @@ impl RecoveryMachine {
             0
         } else {
             let shift = (self.strikes - 2).min(16);
-            (self.config.backoff_base_frames << shift).min(self.config.backoff_max_frames)
+            (BACKOFF_BASE_FRAMES << shift).min(BACKOFF_MAX_FRAMES)
         };
-        self.reconfigure_budget = self.config.reconfigure_frames + extra;
-        if !self.safe_profile && self.strikes > self.config.max_strikes {
+        self.reconfigure_budget = RECONFIGURE_FRAMES + extra;
+        if !self.safe_profile && self.strikes > MAX_STRIKES {
             self.safe_profile = true;
             self.summary.safe_profile_fallback = true;
             events.push(RecoveryEvent::SafeProfileFallback);
@@ -404,13 +366,15 @@ impl RecoveryMachine {
     }
 }
 
+impl Default for RecoveryMachine {
+    fn default() -> Self {
+        RecoveryMachine::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> RecoveryConfig {
-        RecoveryConfig::default()
-    }
 
     /// Runs one crash through drain + reconfigure, returning the machine
     /// in `AwaitingKeyframe`.
@@ -429,7 +393,7 @@ mod tests {
 
     #[test]
     fn healthy_machine_stays_healthy_and_decodes_everything() {
-        let mut m = RecoveryMachine::new(cfg());
+        let mut m = RecoveryMachine::new();
         for _ in 0..100 {
             assert!(m.begin_frame(false).is_empty());
             assert!(m.end_frame(false).is_empty());
@@ -442,7 +406,7 @@ mod tests {
 
     #[test]
     fn single_crash_walks_the_four_states_and_recovers_on_keyframe() {
-        let mut m = RecoveryMachine::new(cfg());
+        let mut m = RecoveryMachine::new();
         crash_to_awaiting(&mut m);
         assert!(!m.can_decode(false), "inter frames are useless pre-resync");
         assert!(m.can_decode(true), "a keyframe restarts the decoder");
@@ -460,7 +424,7 @@ mod tests {
 
     #[test]
     fn decoder_is_down_while_draining_and_reconfiguring() {
-        let mut m = RecoveryMachine::new(cfg());
+        let mut m = RecoveryMachine::new();
         m.begin_frame(true);
         assert_eq!(m.state(), RecoveryState::Draining);
         assert!(!m.can_decode(true), "even a keyframe is useless mid-drain");
@@ -472,11 +436,11 @@ mod tests {
 
     #[test]
     fn keyframe_timeout_fails_the_attempt_and_backs_off() {
-        let mut m = RecoveryMachine::new(cfg());
+        let mut m = RecoveryMachine::new();
         crash_to_awaiting(&mut m);
         // starve the resync: the await budget expires
         let mut failed = false;
-        for _ in 0..cfg().await_keyframe_frames {
+        for _ in 0..AWAIT_KEYFRAME_FRAMES {
             m.begin_frame(false);
             let ev = m.end_frame(false);
             if ev
@@ -494,8 +458,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_saturates() {
-        let cfg = RecoveryConfig::default();
-        let mut m = RecoveryMachine::new(cfg);
+        let mut m = RecoveryMachine::new();
         let mut budgets = Vec::new();
         m.begin_frame(true);
         for _ in 0..400 {
@@ -516,8 +479,7 @@ mod tests {
 
     #[test]
     fn repeated_crashes_inside_the_stability_window_trigger_fallback() {
-        let cfg = RecoveryConfig::default();
-        let mut m = RecoveryMachine::new(cfg);
+        let mut m = RecoveryMachine::new();
         let mut fallback_at_strike = None;
         for strike in 1..=5u32 {
             m.begin_frame(true);
@@ -553,8 +515,7 @@ mod tests {
 
     #[test]
     fn a_quiet_stability_window_forgives_old_strikes() {
-        let cfg = RecoveryConfig::default();
-        let mut m = RecoveryMachine::new(cfg);
+        let mut m = RecoveryMachine::new();
         for _ in 0..4 {
             m.begin_frame(true);
             let mut guard = 0;
@@ -565,7 +526,7 @@ mod tests {
                 assert!(guard < 200);
             }
             // outlive the stability window before the next crash
-            for _ in 0..cfg.stability_frames + 1 {
+            for _ in 0..STABILITY_FRAMES + 1 {
                 m.begin_frame(false);
             }
         }
@@ -578,7 +539,7 @@ mod tests {
 
     #[test]
     fn crash_during_recovery_restarts_the_drain_within_the_episode() {
-        let mut m = RecoveryMachine::new(cfg());
+        let mut m = RecoveryMachine::new();
         crash_to_awaiting(&mut m);
         let ev = m.begin_frame(true);
         assert!(matches!(ev[0], RecoveryEvent::CrashDetected { strike: 2 }));
@@ -627,14 +588,5 @@ mod tests {
         }
         let labels: std::collections::HashSet<&str> = states.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), states.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "drain budget")]
-    fn zero_drain_budget_rejected() {
-        let _ = RecoveryMachine::new(RecoveryConfig {
-            drain_frames: 0,
-            ..RecoveryConfig::default()
-        });
     }
 }

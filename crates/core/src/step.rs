@@ -1,10 +1,11 @@
 //! One session's per-frame pipeline, shared by both drivers.
 //!
 //! [`SessionStep`] owns everything that decides a frame's fate between the
-//! server and the display: the recorder and its attribution tee, the
-//! server, capability negotiation, the degradation ladder, the NACK
-//! manager, the crash-recovery machine, the SLO engine and the active RoI
-//! window / SR tier. Two drivers step it and inject only what differs:
+//! server and the display: the recorder, the server, capability
+//! negotiation, the degradation ladder, the NACK manager, the
+//! crash-recovery machine, the SLO engine, the miss attributor and the
+//! active RoI window / SR tier. Two drivers step it and inject only what
+//! differs:
 //!
 //! * [`run_session`](crate::session::run_session) sends on the one flow
 //!   of a private [`SharedLink`], charges the energy meter and, when
@@ -28,14 +29,16 @@
 //! The step is the pipeline's telemetry writer: the server, the codec and
 //! the link only compute, and the step records what each call produced.
 //! A driver records through [`SessionStep::rec`] only what it alone runs:
-//! `run_session` the clients' counters, the fleet its detectors.
+//! `run_session` the clients' counters, the fleet its detectors. Its
+//! judges read typed facts, never the event stream: [`SessionStep::seal`]
+//! hands the SLO engine a [`FrameHealth`], the [`Attributor`] a [`FrameFacts`].
 
 use crate::degrade::{
     DegradationController, LadderRung, LadderStep, NackManager, NackSignal, LADDER,
 };
 use crate::mtp::{self, MtpBreakdown, UpscaleTiming, FULL_LR};
 use crate::negotiate::negotiate;
-use crate::recovery::{RecoveryConfig, RecoveryEvent, RecoveryMachine, RecoverySummary};
+use crate::recovery::{RecoveryEvent, RecoveryMachine, RecoverySummary};
 use crate::roi::plan_roi_window;
 use crate::server::{GameStreamServer, ServerConfig, ServerPacket};
 use crate::session::{FrameRecord, Pipeline, SessionConfig};
@@ -45,8 +48,8 @@ use gss_net::{DropCause, FaultPlan, SharedLink};
 use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
 use gss_sr::ModelTier;
 use gss_telemetry::{
-    Attributor, Counter, FrameHealth, Gauge, InstantKind, Level, Recorder, SessionAttribution,
-    SinkHandle, SloEngine, SloSummary, Stage, TelemetrySummary,
+    Attributor, Counter, FrameFacts, FrameHealth, Gauge, InstantKind, Level, MissCause, Recorder,
+    SessionAttribution, SloEngine, SloSummary, Stage, TelemetrySummary,
 };
 
 /// Factor rescaling coded byte counts measured on an `lr_size` canvas to
@@ -126,10 +129,9 @@ pub(crate) struct SessionStep {
 }
 
 impl SessionStep {
-    /// Builds the session's server and recorder and negotiates the
-    /// stream with the device before the first frame. `config.telemetry`
-    /// is tee'd with an [`Attributor`], which judges every frame as it
-    /// closes.
+    /// Builds the session's server, recorder and attributor and
+    /// negotiates the stream with the device before the first frame. The
+    /// recorder streams events only into `config.telemetry`, when set.
     pub(crate) fn new(config: &SessionConfig, pipeline: Pipeline, label: String) -> Self {
         let plan = plan_roi_window(
             &config.device,
@@ -159,12 +161,11 @@ impl SessionStep {
                 rc
             }),
         });
-        let attributor = Attributor::new(REALTIME_BUDGET_MS);
-        let tee = SinkHandle::new(attributor.clone());
-        let rec = Recorder::new(label, REALTIME_BUDGET_MS).with_sink(match &config.telemetry {
-            Some(sink) => SinkHandle::fanout(vec![sink.clone(), tee]),
-            None => tee,
-        });
+        let mut rec = Recorder::new(label, REALTIME_BUDGET_MS);
+        if let Some(sink) = &config.telemetry {
+            rec = rec.with_sink(sink.clone());
+        }
+        let attributor = Attributor::new(rec.label(), REALTIME_BUDGET_MS);
         // the ladder controller adapts the GameStreamSR pipeline only; the
         // NACK manager paces keyframe requests whenever loss recovery is on
         let controller = match (pipeline, config.degradation) {
@@ -179,7 +180,7 @@ impl SessionStep {
         let recovery = config
             .fault_plan
             .has_decoder_crashes()
-            .then(|| RecoveryMachine::new(RecoveryConfig::default()));
+            .then(RecoveryMachine::new);
         let mut step = SessionStep {
             pipeline,
             device: config.device.clone(),
@@ -618,15 +619,17 @@ impl SessionStep {
 
     /// Closes the frame: the deadline-miss instant and SLO breach markers
     /// land first (end_frame closes the frame for the trace sink), then
-    /// the recorder judges the same critical path the record exposes.
+    /// the recorder judges the same critical path the record exposes, and
+    /// the attributor judges the frame from its span totals.
     pub(crate) fn seal(&mut self, frame: &mut InFlight) {
         let critical_ms = frame.upscale.critical_ms;
         let budget_ms = self.rec.budget_ms();
         let met_now = gss_telemetry::deadline_met(critical_ms, budget_ms);
+        let miss_ts_ms = frame.upscale_start_ms + critical_ms;
         if !met_now {
             self.rec.instant(
                 InstantKind::DeadlineMiss,
-                frame.upscale_start_ms + critical_ms,
+                miss_ts_ms,
                 format!("critical path {critical_ms:.2} ms > budget {budget_ms:.2} ms"),
             );
         }
@@ -642,6 +645,19 @@ impl SessionStep {
         record.deadline_met =
             self.rec
                 .end_frame(record.mtp.total_ms(), critical_ms, record.bytes as u64);
+        self.attributor.observe(&FrameFacts {
+            frame: record.index as u64,
+            spans: self.rec.frame_spans(),
+            deadline_met: record.deadline_met,
+            frozen: record.frozen,
+            miss_ts_ms,
+            drop: record.drop_cause.map(|cause| match cause {
+                DropCause::QueueOverflow => MissCause::QueueOverflow,
+                DropCause::Outage => MissCause::NetOutage,
+                DropCause::DecoderDown => MissCause::DecoderCrash,
+            }),
+            faults: &self.active_faults,
+        });
         self.frame += 1;
     }
 
@@ -659,6 +675,9 @@ impl SessionStep {
             LadderStep::Downgrade => (Counter::LadderDowngrades, "down", Level::Warn),
             LadderStep::Upgrade => (Counter::LadderUpgrades, "up", Level::Info),
         };
+        if step == LadderStep::Downgrade {
+            self.attributor.ladder_down(frame.record.index as u64);
+        }
         self.rec.incr(counter);
         self.apply_rung(&rung);
         let msg = format!(

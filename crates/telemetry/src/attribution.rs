@@ -1,46 +1,45 @@
-//! Deadline-miss root-cause attribution, streamed from the recorder's
-//! events.
+//! Deadline-miss root-cause attribution, judged from the facts the
+//! session step hands over.
 //!
 //! A deadline miss recorded by the session is a single boolean; triage
-//! needs to know *what ate the budget*. [`Attributor`] is a [`Sink`]: it
-//! folds each frame's stage spans and instant markers into a handful of
-//! facts as they arrive, judges the frame when it closes, and keeps only
-//! the verdicts of missed frames. Every miss gets a cause from a small
-//! taxonomy ([`MissCause`]):
+//! needs to know *what ate the budget*. The session step feeds its
+//! [`Attributor`] one [`FrameFacts`] per closed frame, the way it feeds
+//! the SLO engine: the recorder's span totals ([`FrameSpans`]), the
+//! deadline verdict, the freeze, the drop cause and the active faults. The
+//! attributor judges the frame and keeps only the verdicts of missed
+//! frames. Every miss gets a cause from a small taxonomy ([`MissCause`]):
 //!
 //! - Stage spans are compared against a rolling per-stage baseline (an
 //!   exponential moving average fed only by healthy frames), so "the NPU
 //!   pass was 3× its usual cost" is judged relative to what this session
 //!   normally does at its current ladder rung, not a fixed table.
-//! - Fault instants carry the active fault set across frames, so a miss
-//!   that coincides with an `npu-throttle` window is blamed on the
-//!   throttle rather than on the SR pass being intrinsically slow.
-//! - Ladder-shift instants give hindsight: a miss while the degradation
+//! - The active fault set comes with every frame, so a miss that
+//!   coincides with an `npu-throttle` window is blamed on the throttle
+//!   rather than on the SR pass being intrinsically slow.
+//! - Ladder downgrades give hindsight: a miss while the degradation
 //!   controller is still mid-descent is `LadderLag` (the ladder had not
 //!   yet caught up with the fault), distinct from `NpuThrottle` (the
 //!   ladder had nothing left to give). The controller decides after a
-//!   frame closes, so a downgrade arrives after the misses it answers
-//!   have been judged, and relabels them.
+//!   frame closes, so [`Attributor::ladder_down`] arrives after the misses
+//!   it answers have been judged, and relabels them.
 //!
 //! Frozen display slots never miss the upscaling deadline (there is
-//! nothing to upscale), so stalls are attributed separately from drop
-//! instants: the ledger distinguishes outage stalls from queue-overflow
-//! stalls and reports the longest run per cause.
+//! nothing to upscale), so stalls are attributed separately from drops:
+//! the ledger distinguishes outage stalls from queue-overflow stalls and
+//! reports the longest run per cause.
 //!
 //! Everything is computed from modeled timestamps, so attribution of the
-//! same session is byte-identical across reruns and worker counts.
-
-use std::sync::{Arc, Mutex};
+//! same session is byte-identical across reruns and worker counts. The
+//! recorder's event stream is an export only; nothing here reads it.
 
 use crate::hist::{DistSummary, Histogram};
 use crate::json::{json_escape, json_f64};
-use crate::sink::{Event, Sink};
+use crate::recorder::FrameSpans;
 use crate::summary::dist_json;
-use crate::trace::is_upscale_leg;
-use crate::{InstantKind, Stage};
+use crate::Stage;
 
 /// Root causes a missed deadline (or a frozen stall) can be blamed on.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum MissCause {
     /// NPU thermal throttle inflated the SR pass beyond the budget.
     NpuThrottle,
@@ -62,19 +61,13 @@ pub enum MissCause {
     /// The degradation ladder was still descending when the frame missed:
     /// the fault was survivable, the reaction was late.
     LadderLag,
-    /// Worker-pool load imbalance. Reserved: the modeled trace timestamps
-    /// are scheduling-independent by construction, so this cause can only
-    /// be assigned from wall-clock pool accounting (see the collapsed-stack
-    /// exporter), never from a trace replay.
-    PoolImbalance,
     /// No cause matched — the miss needs a human.
-    #[default]
     Unknown,
 }
 
 impl MissCause {
     /// Number of causes.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// All causes, in declaration order.
     pub const ALL: [MissCause; MissCause::COUNT] = [
@@ -86,7 +79,6 @@ impl MissCause {
         MissCause::DecoderCrash,
         MissCause::SrOverrun,
         MissCause::LadderLag,
-        MissCause::PoolImbalance,
         MissCause::Unknown,
     ];
 
@@ -108,7 +100,6 @@ impl MissCause {
             MissCause::DecoderCrash => "decoder-crash",
             MissCause::SrOverrun => "sr-overrun",
             MissCause::LadderLag => "ladder-lag",
-            MissCause::PoolImbalance => "pool-imbalance",
             MissCause::Unknown => "unknown",
         }
     }
@@ -321,76 +312,34 @@ const ELEVATION_SLACK_MS: f64 = 0.05;
 /// reacting to the episode this miss belongs to.
 const LADDER_LOOKAHEAD_FRAMES: u64 = 90;
 
-/// What one frame's events add up to, accumulated as they arrive.
-#[derive(Debug, Default)]
-struct FrameFacts {
-    frame: u64,
-    /// Summed span time per stage, ms.
-    stage_ms: [f64; Stage::COUNT],
-    /// Envelope of the upscale legs (NPU, GPU, merge): the critical path.
-    legs: Option<(f64, f64)>,
-    /// Timestamp of the first deadline-miss instant.
-    miss_ts_ms: Option<f64>,
-    /// Cause label of the first drop instant.
-    drop_cause: Option<String>,
-    /// A ladder downgrade was decided while the frame was still open.
-    downgraded: bool,
+/// What the session step knows about one closed frame.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameFacts<'a> {
+    /// Frame index within the session.
+    pub frame: u64,
+    /// The frame's span totals ([`crate::Recorder::frame_spans`]).
+    pub spans: &'a FrameSpans,
+    /// Whether the frame met the deadline.
+    pub deadline_met: bool,
+    /// Whether the display repeated the last frame.
+    pub frozen: bool,
+    /// Session-clock time of the miss, modeled ms: the end of the upscale
+    /// critical path. Read only when the deadline was missed.
+    pub miss_ts_ms: f64,
+    /// The cause the frame's drop blames (queue-overflow, net-outage or
+    /// decoder-crash), if it was dropped.
+    pub drop: Option<MissCause>,
+    /// Labels of the scripted faults active while the frame was open.
+    pub faults: &'a [&'a str],
 }
 
-impl FrameFacts {
-    fn span(&mut self, stage: Stage, start_ms: f64, end_ms: f64) {
-        let end_ms = end_ms.max(start_ms);
-        self.stage_ms[stage.index()] += end_ms - start_ms;
-        if is_upscale_leg(stage) {
-            let (lo, hi) = self.legs.get_or_insert((start_ms, end_ms));
-            *lo = lo.min(start_ms);
-            *hi = hi.max(end_ms);
-        }
-    }
-
-    fn instant(&mut self, kind: InstantKind, ts_ms: f64, detail: &str) {
-        match kind {
-            InstantKind::DeadlineMiss if self.miss_ts_ms.is_none() => self.miss_ts_ms = Some(ts_ms),
-            InstantKind::Drop if self.drop_cause.is_none() => {
-                self.drop_cause = detail.rsplit_once(": ").map(|(_, label)| label.to_owned());
-            }
-            InstantKind::LadderShift if is_downgrade(detail) => self.downgraded = true,
-            _ => {}
-        }
-    }
-
-    fn stage(&self, stage: Stage) -> f64 {
-        self.stage_ms[stage.index()]
-    }
-
-    /// The upscale critical path: the slower of the NPU/GPU legs plus the
-    /// merge, or 0 when nothing was upscaled.
-    fn critical_ms(&self) -> f64 {
-        self.legs.map_or(0.0, |(lo, hi)| hi - lo)
-    }
-
-    /// A frame with nothing decoded or upscaled repeats the last one.
-    fn frozen(&self) -> bool {
-        [Stage::Decode, Stage::NpuSr, Stage::GpuInterp, Stage::Merge]
-            .iter()
-            .all(|&s| self.stage(s) == 0.0)
-    }
-}
-
-fn is_downgrade(detail: &str) -> bool {
-    detail.starts_with("ladder down")
-}
-
-/// One session's attribution state.
-#[derive(Debug, Default)]
-struct AttributionState {
+/// Attributes every deadline miss and frozen stall of one session as its
+/// frames close. See the module docs.
+#[derive(Debug, Clone)]
+pub struct Attributor {
     label: String,
+    budget_ms: f64,
     frames: u64,
-    /// The frame in flight, between `FrameStart` and `FrameEnd`.
-    open: Option<FrameFacts>,
-    /// The last frame judged: post-frame instants belong to it.
-    last_judged: Option<u64>,
-    active_faults: Vec<String>,
     /// Per-stage EMA baselines, fed by healthy frames only.
     baselines: [Option<f64>; Stage::COUNT],
     // frozen-slot ledger: the causing drop carries across the stall run
@@ -402,46 +351,29 @@ struct AttributionState {
     records: Vec<MissRecord>,
 }
 
-impl AttributionState {
-    fn open_frame(&mut self, frame: u64) -> &mut FrameFacts {
-        self.open.get_or_insert_with(|| FrameFacts {
-            frame,
-            ..FrameFacts::default()
-        })
-    }
-
-    fn instant(&mut self, frame: u64, kind: InstantKind, ts_ms: f64, detail: &str) {
-        if kind == InstantKind::Fault {
-            if detail.trim() == "faults cleared" {
-                self.active_faults.clear();
-            } else if let Some(list) = detail.strip_prefix("faults active: ") {
-                self.active_faults = list.split('+').map(str::to_owned).collect();
-            }
-        }
-        match (self.open.as_mut(), self.last_judged) {
-            (Some(open), _) => open.instant(kind, ts_ms, detail),
-            // a post-frame instant: the controller's verdict on the frame
-            // just judged
-            (None, Some(last)) => {
-                if kind == InstantKind::LadderShift && is_downgrade(detail) {
-                    self.relabel(last);
-                }
-            }
-            (None, None) => self.open_frame(frame).instant(kind, ts_ms, detail),
+impl Attributor {
+    /// An attributor for the session `label`, judging frames against
+    /// `budget_ms`.
+    pub fn new(label: impl Into<String>, budget_ms: f64) -> Self {
+        Attributor {
+            label: label.into(),
+            budget_ms,
+            frames: 0,
+            baselines: [None; Stage::COUNT],
+            stall_frames: [0; MissCause::COUNT],
+            stall_longest: [0; MissCause::COUNT],
+            stall_run: 0,
+            stall_cause: MissCause::Unknown,
+            records: Vec::new(),
         }
     }
 
-    /// Judges the open frame, if any: the stall ledger, the baselines,
-    /// and a verdict when it missed.
-    fn close(&mut self, deadline_met: bool, budget_ms: f64) {
-        let Some(f) = self.open.take() else {
-            return;
-        };
+    /// Judges one closed frame: the stall ledger, the baselines, and a
+    /// verdict when it missed.
+    pub fn observe(&mut self, f: &FrameFacts<'_>) {
         self.frames += 1;
-        self.last_judged = Some(f.frame);
-        let frozen = f.frozen();
-        if frozen {
-            if let Some(cause) = f.drop_cause.as_deref().and_then(drop_label_to_cause) {
+        if f.frozen {
+            if let Some(cause) = f.drop {
                 self.stall_cause = cause;
             } else if self.stall_run == 0 {
                 self.stall_cause = MissCause::Unknown;
@@ -453,10 +385,10 @@ impl AttributionState {
         } else {
             self.stall_run = 0;
         }
-        if deadline_met {
-            if !frozen {
+        if f.deadline_met {
+            if !f.frozen {
                 for s in Stage::ALL {
-                    let v = f.stage(s);
+                    let v = f.spans.stage_ms(s);
                     if v > 0.0 {
                         let b = self.baselines[s.index()].unwrap_or(v);
                         self.baselines[s.index()] =
@@ -465,33 +397,28 @@ impl AttributionState {
                 }
             }
         } else {
-            let critical_ms = f.critical_ms();
-            let (cause, detail) = self.judge(&f, critical_ms, budget_ms);
+            let critical_ms = f.spans.critical_ms();
+            let (cause, detail) = self.judge(f, critical_ms);
             self.records.push(MissRecord {
                 frame: f.frame,
-                ts_ms: f
-                    .miss_ts_ms
-                    .unwrap_or_else(|| f.legs.map_or(0.0, |(_, hi)| hi)),
-                overrun_ms: (critical_ms - budget_ms).max(0.0),
+                ts_ms: f.miss_ts_ms,
+                overrun_ms: (critical_ms - self.budget_ms).max(0.0),
                 cause,
                 detail,
             });
         }
-        if f.downgraded {
-            self.relabel(f.frame);
-        }
     }
 
-    /// Ladder hindsight: a downgrade decided at frame `d` means the
-    /// controller was still descending toward a rung that absorbs the
-    /// throttle, so the reaction, not the NPU, is to blame for the
-    /// throttle misses of frames `d - LADDER_LOOKAHEAD_FRAMES ..= d`.
-    fn relabel(&mut self, d: u64) {
+    /// Ladder hindsight: a downgrade decided after frame `frame` closed
+    /// means the controller was still descending toward a rung that
+    /// absorbs the throttle, so the reaction, not the NPU, is to blame for
+    /// the throttle misses of frames `frame - 90 ..= frame`.
+    pub fn ladder_down(&mut self, frame: u64) {
         for r in self.records.iter_mut().rev() {
-            if r.frame + LADDER_LOOKAHEAD_FRAMES < d {
+            if r.frame + LADDER_LOOKAHEAD_FRAMES < frame {
                 break;
             }
-            if r.frame <= d && r.cause == MissCause::NpuThrottle {
+            if r.frame <= frame && r.cause == MissCause::NpuThrottle {
                 r.cause = MissCause::LadderLag;
                 r.detail.push_str(", ladder still descending");
             }
@@ -499,8 +426,9 @@ impl AttributionState {
     }
 
     /// The decision tree for one missed frame.
-    fn judge(&self, f: &FrameFacts, critical_ms: f64, budget_ms: f64) -> (MissCause, String) {
-        let stage = |s: Stage| f.stage(s);
+    fn judge(&self, f: &FrameFacts<'_>, critical_ms: f64) -> (MissCause, String) {
+        let budget_ms = self.budget_ms;
+        let stage = |s: Stage| f.spans.stage_ms(s);
         let baseline = |s: Stage| self.baselines[s.index()];
         // elevated: the span exceeds its rolling baseline (or the baseline
         // is still unknown, in which case the fault correlation decides)
@@ -518,7 +446,7 @@ impl AttributionState {
             ),
             _ => format!("{} {:.2} ms (no baseline yet)", s.label(), stage(s)),
         };
-        let fault = |name: &str| self.active_faults.iter().any(|l| l == name);
+        let fault = |name: &str| f.faults.contains(&name);
         let upscale_over = !crate::deadline_met(
             stage(Stage::NpuSr).max(stage(Stage::GpuInterp)) + stage(Stage::Merge),
             budget_ms,
@@ -531,7 +459,7 @@ impl AttributionState {
                 format!("{}, npu-throttle active", vs_baseline(Stage::NpuSr)),
             );
         }
-        if fault("decoder-crash") || f.drop_cause.as_deref() == Some("decoder-down") {
+        if fault("decoder-crash") || f.drop == Some(MissCause::DecoderCrash) {
             return (
                 MissCause::DecoderCrash,
                 "decoder down: crash recovery in progress".to_owned(),
@@ -549,13 +477,13 @@ impl AttributionState {
                 format!("{}, jitter-spike active", vs_baseline(Stage::LinkTransfer)),
             );
         }
-        if fault("outage") || f.drop_cause.as_deref() == Some("outage") {
+        if fault("outage") || f.drop == Some(MissCause::NetOutage) {
             return (
                 MissCause::NetOutage,
                 "frame lost to a scripted outage window".to_owned(),
             );
         }
-        if f.drop_cause.as_deref() == Some("queue-overflow") {
+        if f.drop == Some(MissCause::QueueOverflow) {
             return (
                 MissCause::QueueOverflow,
                 "frame tail-dropped by the bottleneck queue".to_owned(),
@@ -580,44 +508,16 @@ impl AttributionState {
             ),
         )
     }
-}
 
-/// A [`Sink`] that attributes every deadline miss and frozen stall of the
-/// session it is attached to, as the frames close.
-///
-/// Cloning shares the state (the [`crate::MemorySink`] pattern): hand one
-/// clone to the recorder and read [`Attributor::attribution`] from the
-/// other. A `SessionStart` starts over, so the verdict is always the
-/// latest session's. A frame is judged at its `FrameEnd`, so its drop and
-/// deadline-miss instants must arrive before it (the session step records
-/// them there); of the instants that arrive after it, only a ladder
-/// downgrade still acts on the misses already judged, and a fault change
-/// applies from the next frame on.
-#[derive(Debug, Clone)]
-pub struct Attributor {
-    budget_ms: f64,
-    state: Arc<Mutex<AttributionState>>,
-}
-
-impl Attributor {
-    /// An attributor judging frames against `budget_ms`.
-    pub fn new(budget_ms: f64) -> Self {
-        Attributor {
-            budget_ms,
-            state: Arc::default(),
-        }
-    }
-
-    /// The verdict over every frame closed so far.
+    /// The verdict over every frame observed so far.
     pub fn attribution(&self) -> SessionAttribution {
-        let state = self.state.lock().expect("attributor poisoned");
         // tallied from the records in frame order, after any relabelling,
         // so the float sums are those of a single pass over the misses
         let mut hists: Vec<Histogram> = (0..MissCause::COUNT)
             .map(|_| Histogram::latency_ms())
             .collect();
         let mut tallies: Vec<(u64, f64, u64, f64)> = vec![(0, 0.0, 0, 0.0); MissCause::COUNT];
-        for r in &state.records {
+        for r in &self.records {
             let idx = r.cause.index();
             hists[idx].record(r.overrun_ms);
             let t = &mut tallies[idx];
@@ -645,65 +545,21 @@ impl Attributor {
             .collect();
         let stalls = MissCause::ALL
             .iter()
-            .filter(|c| state.stall_frames[c.index()] > 0)
+            .filter(|c| self.stall_frames[c.index()] > 0)
             .map(|&cause| StallEntry {
                 cause,
-                frames: state.stall_frames[cause.index()],
-                longest_run: state.stall_longest[cause.index()],
+                frames: self.stall_frames[cause.index()],
+                longest_run: self.stall_longest[cause.index()],
             })
             .collect();
         SessionAttribution {
-            label: state.label.clone(),
-            frames: state.frames,
-            misses: state.records.len() as u64,
+            label: self.label.clone(),
+            frames: self.frames,
+            misses: self.records.len() as u64,
             blame,
             stalls,
-            records: state.records.clone(),
+            records: self.records.clone(),
         }
-    }
-}
-
-impl Sink for Attributor {
-    fn emit(&mut self, event: &Event) {
-        let mut state = self.state.lock().expect("attributor poisoned");
-        match event {
-            Event::SessionStart { label, .. } => {
-                *state = AttributionState {
-                    label: label.clone(),
-                    ..AttributionState::default()
-                };
-            }
-            Event::FrameStart { frame } => {
-                // a dangling open frame (no FrameEnd) closes as a miss
-                state.close(false, self.budget_ms);
-                state.open_frame(*frame);
-            }
-            Event::Span {
-                frame,
-                stage,
-                start_ms,
-                end_ms,
-            } => state.open_frame(*frame).span(*stage, *start_ms, *end_ms),
-            Event::Instant {
-                frame,
-                kind,
-                ts_ms,
-                detail,
-            } => state.instant(*frame, *kind, *ts_ms, detail),
-            Event::FrameEnd { deadline_met, .. } => state.close(*deadline_met, self.budget_ms),
-            Event::SessionEnd { .. } => state.close(false, self.budget_ms),
-            Event::Count { .. } | Event::Gauge { .. } | Event::Log { .. } => {}
-        }
-    }
-}
-
-/// Maps a drop instant's cause label onto the taxonomy.
-fn drop_label_to_cause(label: &str) -> Option<MissCause> {
-    match label {
-        "queue-overflow" => Some(MissCause::QueueOverflow),
-        "outage" => Some(MissCause::NetOutage),
-        "decoder-down" => Some(MissCause::DecoderCrash),
-        _ => None,
     }
 }
 
@@ -713,85 +569,60 @@ mod tests {
 
     type Spans<'a> = &'a [(Stage, f64, f64)];
 
-    /// An attributor that has seen the session start.
     fn attributor() -> Attributor {
-        let mut att = Attributor::new(crate::REALTIME_BUDGET_MS);
-        att.emit(&Event::SessionStart {
-            label: "test".to_owned(),
-            budget_ms: crate::REALTIME_BUDGET_MS,
-        });
-        att
+        Attributor::new("test", crate::REALTIME_BUDGET_MS)
     }
 
-    fn instant(att: &mut Attributor, frame: u64, kind: InstantKind, ts_ms: f64, detail: &str) {
-        att.emit(&Event::Instant {
-            frame,
-            kind,
-            ts_ms,
-            detail: detail.to_owned(),
-        });
-    }
-
-    /// Streams one frame: its spans, then its instants, then the verdict.
-    fn frame(
-        att: &mut Attributor,
-        i: u64,
-        deadline_met: bool,
-        spans: Spans<'_>,
-        instants: &[(InstantKind, f64, &str)],
-    ) {
-        att.emit(&Event::FrameStart { frame: i });
+    fn totals(spans: Spans<'_>) -> FrameSpans {
+        let mut totals = FrameSpans::default();
         for &(stage, start_ms, end_ms) in spans {
-            att.emit(&Event::Span {
-                frame: i,
-                stage,
-                start_ms,
-                end_ms,
-            });
+            totals.add(stage, start_ms, end_ms);
         }
-        for &(kind, ts_ms, detail) in instants {
-            instant(att, i, kind, ts_ms, detail);
-        }
-        att.emit(&Event::FrameEnd {
-            frame: i,
-            mtp_ms: 0.0,
-            bytes: 0,
-            deadline_met,
-        });
+        totals
     }
 
-    /// A healthy frame: 4 ms NPU leg, 2 ms GPU leg, 1 ms merge.
+    /// The facts of a healthy, unfaulted frame `i` with span totals `spans`.
+    fn facts(i: u64, spans: &FrameSpans) -> FrameFacts<'_> {
+        FrameFacts {
+            frame: i,
+            spans,
+            deadline_met: true,
+            frozen: false,
+            miss_ts_ms: 0.0,
+            drop: None,
+            faults: &[],
+        }
+    }
+
+    /// A healthy frame: 5 ms link transfer, 3 ms decode, 4 ms NPU leg,
+    /// 2 ms GPU leg, 1 ms merge.
     fn good_frame(att: &mut Attributor, i: u64, t0: f64) {
-        let spans = [
+        let spans = totals(&[
+            (Stage::LinkTransfer, t0 - 5.0, t0),
             (Stage::Decode, t0, t0 + 3.0),
             (Stage::NpuSr, t0 + 3.0, t0 + 7.0),
             (Stage::GpuInterp, t0 + 3.0, t0 + 5.0),
             (Stage::Merge, t0 + 7.0, t0 + 8.0),
-        ];
-        frame(att, i, true, &spans, &[]);
+        ]);
+        att.observe(&facts(i, &spans));
     }
 
-    /// A missed frame whose NPU leg ran `npu_ms` (baseline is 4 ms), plus
-    /// `faults` as its fault instant when non-empty.
-    fn miss_frame(att: &mut Attributor, i: u64, t0: f64, npu_ms: f64, faults: &str) {
-        let spans = [
+    /// A missed frame whose NPU leg ran `npu_ms` (baseline is 4 ms) under
+    /// the active `faults`.
+    fn miss_frame(att: &mut Attributor, i: u64, t0: f64, npu_ms: f64, faults: &[&str]) {
+        let spans = totals(&[
+            (Stage::LinkTransfer, t0 - 5.0, t0),
             (Stage::Decode, t0, t0 + 3.0),
             (Stage::NpuSr, t0 + 3.0, t0 + 3.0 + npu_ms),
             (Stage::GpuInterp, t0 + 3.0, t0 + 5.0),
             (Stage::Merge, t0 + 3.0 + npu_ms, t0 + 4.0 + npu_ms),
-        ];
-        let miss = (
-            InstantKind::DeadlineMiss,
-            t0 + 4.0 + npu_ms,
-            "critical path over budget",
-        );
-        let fault = (InstantKind::Fault, t0, faults);
-        let instants = if faults.is_empty() {
-            vec![miss]
-        } else {
-            vec![miss, fault]
-        };
-        frame(att, i, false, &spans, &instants);
+        ]);
+        att.observe(&FrameFacts {
+            deadline_met: false,
+            miss_ts_ms: t0 + 4.0 + npu_ms,
+            faults,
+            ..facts(i, &spans)
+        });
     }
 
     #[test]
@@ -800,13 +631,7 @@ mod tests {
         for i in 0..20 {
             good_frame(&mut att, i, i as f64 * 16.67);
         }
-        miss_frame(
-            &mut att,
-            20,
-            20.0 * 16.67,
-            20.0,
-            "faults active: npu-throttle",
-        );
+        miss_frame(&mut att, 20, 20.0 * 16.67, 20.0, &["npu-throttle"]);
         let a = att.attribution();
         assert_eq!(a.misses, 1);
         assert_eq!(a.records[0].cause, MissCause::NpuThrottle);
@@ -824,23 +649,11 @@ mod tests {
         for i in 0..20 {
             good_frame(&mut att, i, i as f64 * 16.67);
         }
-        miss_frame(
-            &mut att,
-            20,
-            20.0 * 16.67,
-            20.0,
-            "faults active: npu-throttle",
-        );
+        miss_frame(&mut att, 20, 20.0 * 16.67, 20.0, &["npu-throttle"]);
         good_frame(&mut att, 22, 22.0 * 16.67);
         assert_eq!(att.attribution().records[0].cause, MissCause::NpuThrottle);
         // the controller decides after frame 22 closes
-        instant(
-            &mut att,
-            22,
-            InstantKind::LadderShift,
-            22.0 * 16.67,
-            "ladder down: rung 0 -> 1 (fp16, roi 416 px, rate x0.85)",
-        );
+        att.ladder_down(22);
         let a = att.attribution();
         assert_eq!(a.records[0].cause, MissCause::LadderLag);
         assert!(a.records[0]
@@ -854,13 +667,13 @@ mod tests {
         for i in 0..5 {
             good_frame(&mut att, i, i as f64 * 16.67);
         }
-        miss_frame(&mut att, 5, 5.0 * 16.67, 18.0, "");
-        let miss = (
-            InstantKind::DeadlineMiss,
-            6.0 * 16.67 + 22.0,
-            "critical path over budget",
-        );
-        frame(&mut att, 6, false, &[], &[miss]);
+        miss_frame(&mut att, 5, 5.0 * 16.67, 18.0, &[]);
+        let none = FrameSpans::default();
+        att.observe(&FrameFacts {
+            deadline_met: false,
+            miss_ts_ms: 6.0 * 16.67 + 22.0,
+            ..facts(6, &none)
+        });
         let a = att.attribution();
         assert_eq!(a.misses, 2);
         assert_eq!(a.records[0].cause, MissCause::SrOverrun);
@@ -873,11 +686,13 @@ mod tests {
     fn frozen_slots_are_ledgered_by_drop_cause() {
         let mut att = attributor();
         good_frame(&mut att, 0, 0.0);
+        let none = FrameSpans::default();
         for i in 1..4u64 {
-            let t0 = i as f64 * 16.67;
-            let drop = [(InstantKind::Drop, t0, "frame dropped: queue-overflow")];
-            let instants: &[_] = if i == 1 { &drop } else { &[] };
-            frame(&mut att, i, true, &[], instants);
+            att.observe(&FrameFacts {
+                frozen: true,
+                drop: (i == 1).then_some(MissCause::QueueOverflow),
+                ..facts(i, &none)
+            });
         }
         let a = att.attribution();
         assert_eq!(a.misses, 0);
@@ -888,6 +703,112 @@ mod tests {
             "the stall run carries the drop cause"
         );
         assert_eq!(a.stalls[0].longest_run, 3);
+    }
+
+    /// The branches of the decision tree below the NPU throttle: each row
+    /// is one missed frame after a healthy baseline, with its elevated
+    /// stage, faults and drop, and the cause and evidence it must get.
+    #[test]
+    fn each_fault_and_drop_is_blamed_on_its_own_cause() {
+        struct Case {
+            name: &'static str,
+            decode_ms: f64,
+            link_ms: f64,
+            faults: &'static [&'static str],
+            drop: Option<MissCause>,
+            cause: MissCause,
+            evidence: &'static str,
+        }
+        let cases = [
+            Case {
+                name: "elevated decode under decoder-stall",
+                decode_ms: 9.0,
+                link_ms: 5.0,
+                faults: &["decoder-stall"],
+                drop: None,
+                cause: MissCause::DecoderStall,
+                evidence: "decode 9.00 ms vs baseline 3.00 ms (x3.00), decoder-stall active",
+            },
+            Case {
+                name: "elevated link transfer under jitter-spike",
+                decode_ms: 3.0,
+                link_ms: 30.0,
+                faults: &["jitter-spike"],
+                drop: None,
+                cause: MissCause::JitterSpike,
+                evidence: "link-transfer 30.00 ms vs baseline 5.00 ms (x6.00), jitter-spike active",
+            },
+            Case {
+                name: "an outage drop",
+                decode_ms: 3.0,
+                link_ms: 5.0,
+                faults: &[],
+                drop: Some(MissCause::NetOutage),
+                cause: MissCause::NetOutage,
+                evidence: "frame lost to a scripted outage window",
+            },
+            Case {
+                name: "a queue-overflow drop",
+                decode_ms: 3.0,
+                link_ms: 5.0,
+                faults: &[],
+                drop: Some(MissCause::QueueOverflow),
+                cause: MissCause::QueueOverflow,
+                evidence: "frame tail-dropped by the bottleneck queue",
+            },
+            Case {
+                name: "a queue-overflow drop under a jitter-spike at baseline",
+                decode_ms: 3.0,
+                link_ms: 5.0,
+                faults: &["jitter-spike"],
+                drop: Some(MissCause::QueueOverflow),
+                cause: MissCause::QueueOverflow,
+                evidence: "frame tail-dropped by the bottleneck queue",
+            },
+            Case {
+                name: "decoder-stall active with decode at baseline",
+                decode_ms: 3.0,
+                link_ms: 5.0,
+                faults: &["decoder-stall"],
+                drop: None,
+                cause: MissCause::Unknown,
+                evidence: "no stage elevated",
+            },
+        ];
+        for case in cases {
+            let mut att = attributor();
+            for i in 0..20 {
+                good_frame(&mut att, i, i as f64 * 16.67);
+            }
+            let t0 = 20.0 * 16.67;
+            let d = case.decode_ms;
+            let spans = totals(&[
+                (Stage::LinkTransfer, t0 - case.link_ms, t0),
+                (Stage::Decode, t0, t0 + d),
+                (Stage::NpuSr, t0 + d, t0 + d + 4.0),
+                (Stage::GpuInterp, t0 + d, t0 + d + 2.0),
+                (Stage::Merge, t0 + d + 4.0, t0 + d + 5.0),
+            ]);
+            att.observe(&FrameFacts {
+                deadline_met: false,
+                miss_ts_ms: t0 + d + 5.0,
+                drop: case.drop,
+                faults: case.faults,
+                ..facts(20, &spans)
+            });
+            let a = att.attribution();
+            assert_eq!(a.misses, 1, "{}", case.name);
+            let r = &a.records[0];
+            assert_eq!(r.cause, case.cause, "{}: {}", case.name, r.detail);
+            assert!(
+                r.detail.starts_with(case.evidence),
+                "{}: {}",
+                case.name,
+                r.detail
+            );
+            assert_eq!(r.ts_ms, t0 + d + 5.0, "{}", case.name);
+            assert_eq!(r.overrun_ms, 0.0, "{}: a 5 ms upscale fits", case.name);
+        }
     }
 
     #[test]
@@ -911,7 +832,7 @@ mod tests {
             for i in 0..10 {
                 good_frame(&mut att, i, i as f64 * 16.67);
             }
-            miss_frame(&mut att, 10, 10.0 * 16.67, 19.0, "");
+            miss_frame(&mut att, 10, 10.0 * 16.67, 19.0, &[]);
             att.attribution().to_json()
         };
         let a = run();

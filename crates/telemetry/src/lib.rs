@@ -13,9 +13,10 @@
 //! - [`Histogram`] — fixed geometric buckets with per-bucket count *and*
 //!   sum, so percentile queries return bucket means (exact for a bucket of
 //!   identical samples, and therefore exact for a single sample).
-//! - [`Sink`] implementations — [`NullSink`], [`MemorySink`] (tests),
-//!   [`JsonlSink`] (one JSON object per line) — shared via [`SinkHandle`].
-//!   With no sink attached, recording is pure array arithmetic.
+//! - [`Sink`] implementations — [`MemorySink`] (tests), [`JsonlSink`]
+//!   (one JSON object per line) — shared via [`SinkHandle`]. With no sink
+//!   attached (every session without telemetry), recording is pure array
+//!   arithmetic.
 //! - [`TelemetrySummary`] — the durable per-session aggregate, rendered as
 //!   a human-readable table or deterministic JSON.
 //!
@@ -39,16 +40,16 @@ mod summary;
 pub mod timeseries;
 pub mod trace;
 
-pub use attribution::{Attributor, BlameEntry, MissCause, MissRecord, SessionAttribution};
+pub use attribution::{
+    Attributor, BlameEntry, FrameFacts, MissCause, MissRecord, SessionAttribution,
+};
 pub use hist::{DistSummary, Exemplar, Histogram, BUCKETS};
-pub use recorder::Recorder;
+pub use recorder::{FrameSpans, Recorder};
 pub use sampling::{
     compute_exemplars, enforce_fleet_cap, KeepReason, SamplingPolicy, SamplingStats,
     SamplingSummary, SamplingTraceSink, SessionExemplars, TraceBudget,
 };
-pub use sink::{
-    Event, InstantKind, JsonlSink, Level, MemorySink, MultiSink, NullSink, Sink, SinkHandle,
-};
+pub use sink::{Event, InstantKind, JsonlSink, Level, MemorySink, MultiSink, Sink, SinkHandle};
 pub use slo::{FrameHealth, Objective, SloEngine, SloEvent, SloSpec, SloStatus, SloSummary};
 pub use summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
 pub use timeseries::{

@@ -7,6 +7,10 @@
 //! fine-grained [`Event`]s; without one, recording is pure array
 //! arithmetic.
 //!
+//! The open frame's span totals ([`FrameSpans`]) are kept with or without
+//! a sink: deadline-miss attribution judges a frame by them, not by the
+//! exported event stream.
+//!
 //! Spans are one-shot `(stage, start, duration)` records
 //! ([`Recorder::record_span`]): the simulated pipeline has genuinely
 //! *overlapping* stages (RoI search overlaps encode on the server; NPU
@@ -16,7 +20,43 @@
 use crate::hist::Histogram;
 use crate::sink::{Event, InstantKind, Level, SinkHandle};
 use crate::summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
+use crate::trace::is_upscale_leg;
 use crate::{Counter, Gauge, GaugeStat, Stage};
+
+/// One frame's span totals: the summed time per stage and the envelope of
+/// the upscale legs (NPU, GPU, merge). [`Recorder::begin_frame`] resets
+/// them and [`Recorder::record_span`] feeds them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FrameSpans {
+    stage_ms: [f64; Stage::COUNT],
+    legs: Option<(f64, f64)>,
+}
+
+impl FrameSpans {
+    /// Folds in one `[start_ms, end_ms]` span; an end before its start
+    /// counts as no time.
+    pub(crate) fn add(&mut self, stage: Stage, start_ms: f64, end_ms: f64) {
+        let end_ms = end_ms.max(start_ms);
+        self.stage_ms[stage.index()] += end_ms - start_ms;
+        if is_upscale_leg(stage) {
+            let (lo, hi) = self.legs.get_or_insert((start_ms, end_ms));
+            *lo = lo.min(start_ms);
+            *hi = hi.max(end_ms);
+        }
+    }
+
+    /// Summed span time of `stage`, ms.
+    pub(crate) fn stage_ms(&self, stage: Stage) -> f64 {
+        self.stage_ms[stage.index()]
+    }
+
+    /// The upscale critical path: from the first upscale leg's start to
+    /// the last one's end (the slower of the NPU/GPU legs plus the merge),
+    /// or 0 when nothing was upscaled.
+    pub(crate) fn critical_ms(&self) -> f64 {
+        self.legs.map_or(0.0, |(lo, hi)| hi - lo)
+    }
+}
 
 /// Frame-scoped telemetry recorder. See the module docs for the design.
 #[derive(Debug)]
@@ -25,6 +65,7 @@ pub struct Recorder {
     budget_ms: f64,
     sink: Option<SinkHandle>,
     frame: u64,
+    spans: FrameSpans,
     frames: u64,
     deadline_misses: u64,
     stage_hists: [Histogram; Stage::COUNT],
@@ -42,6 +83,7 @@ impl Recorder {
             budget_ms,
             sink: None,
             frame: 0,
+            spans: FrameSpans::default(),
             frames: 0,
             deadline_misses: 0,
             stage_hists: std::array::from_fn(|_| Histogram::latency_ms()),
@@ -90,9 +132,10 @@ impl Recorder {
         }
     }
 
-    /// Marks the start of frame `frame`.
+    /// Marks the start of frame `frame` and clears its span totals.
     pub fn begin_frame(&mut self, frame: u64) {
         self.frame = frame;
+        self.spans = FrameSpans::default();
         if self.sink.is_some() {
             self.emit(Event::FrameStart { frame });
         }
@@ -103,14 +146,22 @@ impl Recorder {
     /// spans with overlapping `[start, start+duration]` intervals.
     pub fn record_span(&mut self, stage: Stage, start_ms: f64, duration_ms: f64) {
         self.stage_hists[stage.index()].record(duration_ms);
+        let end_ms = start_ms + duration_ms;
+        self.spans.add(stage, start_ms, end_ms);
         if self.sink.is_some() {
             self.emit(Event::Span {
                 frame: self.frame,
                 stage,
                 start_ms,
-                end_ms: start_ms + duration_ms,
+                end_ms,
             });
         }
+    }
+
+    /// The span totals of the frame opened by the last
+    /// [`Recorder::begin_frame`]; [`Recorder::end_frame`] keeps them.
+    pub fn frame_spans(&self) -> &FrameSpans {
+        &self.spans
     }
 
     /// Increments `counter` by one.
@@ -356,6 +407,27 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn frame_spans_sum_each_stage_and_envelope_the_upscale_legs() {
+        // no sink: the totals are kept all the same
+        let mut rec = Recorder::new("spans", 16.0);
+        rec.begin_frame(0);
+        rec.record_span(Stage::Render, 0.0, 5.0);
+        assert_eq!(rec.frame_spans().critical_ms(), 0.0);
+        rec.begin_frame(1);
+        rec.record_span(Stage::Decode, 10.0, 3.0);
+        rec.record_span(Stage::NpuSr, 13.0, 6.0);
+        rec.record_span(Stage::GpuInterp, 13.0, 2.0);
+        rec.record_span(Stage::GpuInterp, 13.0, 1.5);
+        rec.record_span(Stage::Merge, 19.0, 1.0);
+        rec.end_frame(20.0, 7.0, 100);
+        let spans = rec.frame_spans();
+        assert_eq!(spans.stage_ms(Stage::Render), 0.0, "begin_frame resets");
+        assert_eq!(spans.stage_ms(Stage::Decode), 3.0);
+        assert_eq!(spans.stage_ms(Stage::GpuInterp), 3.5);
+        assert_eq!(spans.critical_ms(), 7.0);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A [`Recorder`](crate::Recorder) always maintains its in-memory aggregates
 //! (histograms, counters, gauges); attaching a sink additionally streams
 //! every fine-grained [`Event`] somewhere — into a buffer for tests
-//! ([`MemorySink`]), onto disk as JSON Lines ([`JsonlSink`]), or nowhere
-//! ([`NullSink`]). Sinks are behind a [`SinkHandle`] (`Arc<Mutex<…>>`) so
-//! one sink can serve several recorders, e.g. the paired ours/SOTA sessions
-//! of a comparison run writing interleaved into one JSONL file.
+//! ([`MemorySink`]) or onto disk as JSON Lines ([`JsonlSink`]). Sinks are
+//! behind a [`SinkHandle`] (`Arc<Mutex<…>>`) so one sink can serve several
+//! recorders, e.g. the paired ours/SOTA sessions of a comparison run
+//! writing interleaved into one JSONL file.
 
 use std::fmt;
 use std::fs::File;
@@ -242,15 +242,6 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// A sink that discards every event. Useful to exercise the emission path
-/// itself (e.g. in benchmarks) without any storage cost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn emit(&mut self, _event: &Event) {}
-}
-
 /// A sink that appends every event to a shared in-memory buffer. Cloning
 /// shares the buffer, so tests can keep one clone and hand the other to a
 /// [`SinkHandle`].
@@ -383,11 +374,6 @@ impl SinkHandle {
         SinkHandle {
             inner: Arc::new(Mutex::new(sink)),
         }
-    }
-
-    /// A handle to a [`NullSink`].
-    pub fn null() -> Self {
-        SinkHandle::new(NullSink)
     }
 
     /// A handle to a [`MultiSink`] fanning events out to `sinks`, in
