@@ -37,7 +37,7 @@ use gss_bench::{
     experiments::{bigfleet, fleetwatch},
     run_experiment, triage, RunOptions, ALL_EXPERIMENTS,
 };
-use gss_telemetry::{JsonlSink, Level, MultiSink, SinkHandle, TraceSink};
+use gss_telemetry::{JsonlSink, Level, SinkHandle, TraceSink};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -134,7 +134,7 @@ fn run_figures(args: &[String]) -> ExitCode {
     let telemetry = match sinks.len() {
         0 => None,
         1 => Some(sinks.remove(0)),
-        _ => Some(SinkHandle::new(MultiSink::new(sinks))),
+        _ => Some(SinkHandle::fanout(sinks)),
     };
     let options = RunOptions { quick, telemetry };
 

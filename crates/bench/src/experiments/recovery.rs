@@ -14,7 +14,6 @@
 
 use crate::experiments::common::FAST_CANVAS;
 use crate::{table::f, RunOptions, Table};
-use gamestreamsr::degrade::DegradationConfig;
 use gamestreamsr::session::{run_session, Pipeline, SessionConfig, SessionReport};
 use gss_codec::RateControlConfig;
 use gss_net::{DropCause, FaultPlan};
@@ -42,7 +41,7 @@ fn storm_cfg(device: DeviceProfile, time_scale: f64, options: &RunOptions) -> Se
     }
     .without_quality()
     .with_faults(FaultPlan::crash_storm_scaled(time_scale))
-    .with_degradation(DegradationConfig::default())
+    .with_degradation()
 }
 
 /// One device's run through the crash storm.

@@ -10,7 +10,6 @@
 
 use crate::experiments::common::FAST_CANVAS;
 use crate::{table::f, RunOptions, Table};
-use gamestreamsr::degrade::DegradationConfig;
 use gamestreamsr::session::{run_session, Pipeline, SessionConfig, SessionReport};
 use gss_codec::RateControlConfig;
 use gss_net::{DropCause, FaultPlan};
@@ -76,7 +75,7 @@ pub fn measure(options: &RunOptions) -> ResilienceRuns {
     let time_scale = if options.quick { 0.2 } else { 1.0 };
     let clearance_frame = (17_000.0 * time_scale / FRAME_MS).ceil() as usize;
 
-    let on_cfg = faulted_cfg(time_scale, options).with_degradation(DegradationConfig::default());
+    let on_cfg = faulted_cfg(time_scale, options).with_degradation();
     let mut off_cfg = faulted_cfg(time_scale, options);
     off_cfg.loss_recovery = true; // same NACK recovery, no ladder
 
@@ -180,7 +179,7 @@ mod tests {
             ..Default::default()
         };
         run(&options);
-        let on_cfg = faulted_cfg(0.2, &options).with_degradation(DegradationConfig::default());
+        let on_cfg = faulted_cfg(0.2, &options).with_degradation();
         let mut off_cfg = faulted_cfg(0.2, &options);
         off_cfg.loss_recovery = true;
         let on = run_session(&on_cfg, Pipeline::GameStreamSr).unwrap();

@@ -9,6 +9,7 @@
 use crate::GssError;
 use gss_codec::{Decoder, EncodedFrame};
 use gss_frame::{Frame, Rect};
+use gss_platform::pool::spawn_or_run;
 use gss_sr::{InterpKernel, InterpUpscaler, ModelTier, NeuralSr, Upscaler};
 
 /// One upscaled frame produced by the client.
@@ -96,9 +97,10 @@ impl GameStreamClient {
 
     /// The RoI-assisted upscale on an already-decoded frame: DNN SR inside
     /// `roi`, bilinear everywhere else, merged. The two paths run on
-    /// separate threads like the paper's NPU ∥ GPU split. On the
-    /// bilinear-only floor (no model tier) the NPU path and the merge are
-    /// skipped and the whole frame is GPU-interpolated.
+    /// separate threads like the paper's NPU ∥ GPU split (both on the
+    /// caller when the OS refuses the NPU thread). On the bilinear-only
+    /// floor (no model tier) the NPU path and the merge are skipped and the
+    /// whole frame is GPU-interpolated.
     ///
     /// `roi` is clamped into the frame if it protrudes.
     pub fn upscale(&self, lr: &Frame, roi: Rect) -> ClientOutput {
@@ -114,7 +116,9 @@ impl GameStreamClient {
         let mut neural_patch = None;
         let mut hr = std::thread::scope(|s| {
             // NPU path: DNN SR of the RoI patch
-            s.spawn(|| neural_patch = Some(neural.upscale(&lr.crop(roi))));
+            spawn_or_run(s, std::thread::Builder::new(), || {
+                neural_patch = Some(neural.upscale(&lr.crop(roi)));
+            });
             // GPU path: bilinear of the (whole) frame; only the non-RoI
             // part of this output survives the merge
             self.bilinear.upscale(lr)

@@ -94,35 +94,23 @@ pub const LADDER: [LadderRung; 5] = [
     },
 ];
 
-/// Tuning of the [`DegradationController`] and the NACK backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DegradationConfig {
-    /// Rolling window of frames the miss count is judged over.
-    pub window: usize,
-    /// Bad frames within the window that trigger a downgrade.
-    pub degrade_misses: usize,
-    /// Consecutive clean frames required per upgrade step (hysteresis).
-    pub recover_frames: usize,
-    /// Minimum frames between any two ladder transitions.
-    pub cooldown_frames: usize,
-    /// Frames a NACK waits for its keyframe before re-requesting.
-    pub nack_timeout_frames: usize,
-    /// Upper bound of the NACK retry backoff, in frames.
-    pub nack_backoff_max_frames: usize,
-}
+/// Rolling window of frames the controller judges its miss count over.
+pub const MISS_WINDOW_FRAMES: usize = 12;
 
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            window: 12,
-            degrade_misses: 4,
-            recover_frames: 18,
-            cooldown_frames: 6,
-            nack_timeout_frames: 3,
-            nack_backoff_max_frames: 24,
-        }
-    }
-}
+/// Bad frames within the miss window that trigger a downgrade.
+pub const DEGRADE_MISSES: usize = 4;
+
+/// Consecutive clean frames required per upgrade step (hysteresis).
+pub const RECOVER_FRAMES: usize = 18;
+
+/// Minimum frames between any two ladder transitions.
+pub const COOLDOWN_FRAMES: usize = 6;
+
+/// Frames a NACK waits for its keyframe before re-requesting.
+pub const NACK_TIMEOUT_FRAMES: usize = 3;
+
+/// Upper bound of the NACK retry backoff, in frames.
+pub const NACK_BACKOFF_MAX_FRAMES: usize = 24;
 
 /// A ladder step taken by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,7 +124,6 @@ pub enum LadderStep {
 /// Watches per-frame health and walks the degradation ladder.
 #[derive(Debug, Clone)]
 pub struct DegradationController {
-    config: DegradationConfig,
     rung: usize,
     ceiling: usize,
     window: VecDeque<bool>,
@@ -147,32 +134,15 @@ pub struct DegradationController {
 
 impl DegradationController {
     /// Creates a controller at the top rung.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window is empty or the degrade threshold does not
-    /// fit it.
-    pub fn new(config: DegradationConfig) -> Self {
-        assert!(config.window > 0, "window must be nonzero");
-        assert!(
-            (1..=config.window).contains(&config.degrade_misses),
-            "degrade threshold must fit the window"
-        );
-        assert!(config.recover_frames > 0, "recovery streak must be nonzero");
+    pub fn new() -> Self {
         DegradationController {
-            config,
             rung: 0,
             ceiling: 0,
-            window: VecDeque::with_capacity(config.window),
+            window: VecDeque::with_capacity(MISS_WINDOW_FRAMES),
             misses_in_window: 0,
             clean_streak: 0,
             cooldown: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DegradationConfig {
-        self.config
     }
 
     /// Current rung index (0 = full quality).
@@ -228,7 +198,7 @@ impl DegradationController {
         self.window.clear();
         self.misses_in_window = 0;
         self.clean_streak = 0;
-        self.cooldown = self.config.cooldown_frames;
+        self.cooldown = COOLDOWN_FRAMES;
         true
     }
 
@@ -236,7 +206,7 @@ impl DegradationController {
     /// ladder step taken, if any. `bad` means the frame missed its
     /// real-time deadline or the link dropped it.
     pub fn observe(&mut self, bad: bool) -> Option<LadderStep> {
-        if self.window.len() == self.config.window && self.window.pop_front() == Some(true) {
+        if self.window.len() == MISS_WINDOW_FRAMES && self.window.pop_front() == Some(true) {
             self.misses_in_window -= 1;
         }
         self.window.push_back(bad);
@@ -250,23 +220,29 @@ impl DegradationController {
             self.cooldown -= 1;
             return None;
         }
-        if self.misses_in_window >= self.config.degrade_misses && self.rung + 1 < LADDER.len() {
+        if self.misses_in_window >= DEGRADE_MISSES && self.rung + 1 < LADDER.len() {
             self.rung += 1;
-            self.cooldown = self.config.cooldown_frames;
+            self.cooldown = COOLDOWN_FRAMES;
             // stale misses belong to the rung that caused them
             self.window.clear();
             self.misses_in_window = 0;
             self.clean_streak = 0;
             return Some(LadderStep::Downgrade);
         }
-        if self.clean_streak >= self.config.recover_frames && self.rung > self.ceiling {
+        if self.clean_streak >= RECOVER_FRAMES && self.rung > self.ceiling {
             self.rung -= 1;
-            self.cooldown = self.config.cooldown_frames;
+            self.cooldown = COOLDOWN_FRAMES;
             // hysteresis: a fresh streak is required for the next step up
             self.clean_streak = 0;
             return Some(LadderStep::Upgrade);
         }
         None
+    }
+}
+
+impl Default for DegradationController {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -291,8 +267,6 @@ pub enum NackSignal {
 /// other's retry windows. Per-session isolation now holds by construction.
 #[derive(Debug, Clone)]
 pub struct NackManager {
-    timeout_frames: usize,
-    backoff_max_frames: usize,
     awaiting: bool,
     pending_request: bool,
     /// Frames observed by this manager (incremented per poll).
@@ -303,25 +277,14 @@ pub struct NackManager {
 }
 
 impl NackManager {
-    /// Creates the manager.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the timeout is zero or exceeds the backoff bound.
-    pub fn new(timeout_frames: usize, backoff_max_frames: usize) -> Self {
-        assert!(timeout_frames > 0, "timeout must be nonzero");
-        assert!(
-            timeout_frames <= backoff_max_frames,
-            "backoff bound must cover the timeout"
-        );
+    /// Creates the manager with nothing outstanding.
+    pub fn new() -> Self {
         NackManager {
-            timeout_frames,
-            backoff_max_frames,
             awaiting: false,
             pending_request: false,
             frame: 0,
             deadline: None,
-            backoff: timeout_frames,
+            backoff: NACK_TIMEOUT_FRAMES,
         }
     }
 
@@ -354,7 +317,7 @@ impl NackManager {
         self.awaiting = false;
         self.pending_request = false;
         self.deadline = None;
-        self.backoff = self.timeout_frames;
+        self.backoff = NACK_TIMEOUT_FRAMES;
     }
 
     /// Polled once at the start of every frame of this session, before the
@@ -372,11 +335,17 @@ impl NackManager {
             return Some(NackSignal::Fresh);
         }
         if self.deadline.is_some_and(|d| now >= d) {
-            self.backoff = (self.backoff * 2).min(self.backoff_max_frames);
+            self.backoff = (self.backoff * 2).min(NACK_BACKOFF_MAX_FRAMES);
             self.deadline = Some(now + self.backoff);
             return Some(NackSignal::Retry);
         }
         None
+    }
+}
+
+impl Default for NackManager {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -447,12 +416,11 @@ mod tests {
 
     #[test]
     fn controller_degrades_on_misses_and_recovers_with_hysteresis() {
-        let cfg = DegradationConfig::default();
-        let mut ctl = DegradationController::new(cfg);
+        let mut ctl = DegradationController::new();
         assert_eq!(ctl.rung(), 0);
         // a burst of bad frames walks one rung down
         let mut steps = Vec::new();
-        for _ in 0..cfg.degrade_misses {
+        for _ in 0..DEGRADE_MISSES {
             if let Some(s) = ctl.observe(true) {
                 steps.push(s);
             }
@@ -460,12 +428,12 @@ mod tests {
         assert_eq!(steps, vec![LadderStep::Downgrade]);
         assert_eq!(ctl.rung(), 1);
         // clean frames within the cooldown do nothing
-        for _ in 0..cfg.cooldown_frames {
+        for _ in 0..COOLDOWN_FRAMES {
             assert_eq!(ctl.observe(false), None);
         }
         // a full clean streak climbs back exactly one rung
         let mut upgrades = 0;
-        for _ in 0..cfg.recover_frames {
+        for _ in 0..RECOVER_FRAMES {
             if ctl.observe(false) == Some(LadderStep::Upgrade) {
                 upgrades += 1;
             }
@@ -477,8 +445,7 @@ mod tests {
 
     #[test]
     fn sustained_faults_reach_the_floor_and_stop() {
-        let cfg = DegradationConfig::default();
-        let mut ctl = DegradationController::new(cfg);
+        let mut ctl = DegradationController::new();
         for _ in 0..200 {
             ctl.observe(true);
         }
@@ -488,22 +455,18 @@ mod tests {
 
     #[test]
     fn one_bad_frame_resets_the_recovery_streak() {
-        let cfg = DegradationConfig {
-            window: 6,
-            degrade_misses: 2,
-            recover_frames: 10,
-            cooldown_frames: 0,
-            ..DegradationConfig::default()
-        };
-        let mut ctl = DegradationController::new(cfg);
-        ctl.observe(true);
-        ctl.observe(true);
+        let mut ctl = DegradationController::new();
+        for _ in 0..DEGRADE_MISSES {
+            ctl.observe(true);
+        }
         assert_eq!(ctl.rung(), 1);
-        for _ in 0..9 {
+        // the downgrade's cooldown runs out inside the streak
+        for _ in 0..RECOVER_FRAMES - 1 {
             assert_eq!(ctl.observe(false), None);
         }
-        ctl.observe(true); // streak dies at 9/10
-        for _ in 0..9 {
+        // the streak dies one frame short; a lone miss cannot downgrade
+        assert_eq!(ctl.observe(true), None);
+        for _ in 0..RECOVER_FRAMES - 1 {
             assert_eq!(ctl.observe(false), None);
         }
         assert_eq!(ctl.rung(), 1, "a marginal channel must not oscillate");
@@ -524,7 +487,7 @@ mod tests {
 
     #[test]
     fn nack_retries_with_exponential_backoff() {
-        let mut nack = NackManager::new(3, 24);
+        let mut nack = NackManager::new();
         assert_eq!(nack.begin_frame(), None); // frame 0: nothing lost
         nack.on_loss();
         assert_eq!(nack.begin_frame(), Some(NackSignal::Fresh)); // frame 1
@@ -541,11 +504,15 @@ mod tests {
         assert_eq!(nack.backoff_frames(), 24);
         quiet_frames(&mut nack, 23); // frames 23-45
         assert_eq!(nack.begin_frame(), Some(NackSignal::Retry)); // frame 46
-        assert_eq!(nack.backoff_frames(), 24, "backoff is bounded");
+        assert_eq!(
+            nack.backoff_frames(),
+            NACK_BACKOFF_MAX_FRAMES,
+            "backoff is bounded"
+        );
         // delivery resets everything
         nack.on_keyframe_delivered();
         assert!(!nack.awaiting());
-        assert_eq!(nack.backoff_frames(), 3);
+        assert_eq!(nack.backoff_frames(), NACK_TIMEOUT_FRAMES);
         assert_eq!(nack.begin_frame(), None); // frame 47
                                               // a second loss starts from the base timeout again
         nack.on_loss();
@@ -561,7 +528,7 @@ mod tests {
         // schedule. Signals are recorded relative to each session's own
         // loss and must match exactly.
         let schedule_of = |phase_lag: usize| {
-            let mut nack = NackManager::new(3, 24);
+            let mut nack = NackManager::new();
             for _ in 0..phase_lag {
                 assert_eq!(nack.begin_frame(), None);
             }
@@ -576,8 +543,8 @@ mod tests {
 
         // And interleaved polling of two live managers cannot cross-talk:
         // session B's schedule is identical whether A exists or not.
-        let mut a_live = NackManager::new(3, 24);
-        let mut b_live = NackManager::new(3, 24);
+        let mut a_live = NackManager::new();
+        let mut b_live = NackManager::new();
         for _ in 0..17 {
             let _ = a_live.begin_frame();
         }
@@ -593,27 +560,23 @@ mod tests {
 
     #[test]
     fn a_clamped_ceiling_caps_recovery_and_only_ratchets_down() {
-        let cfg = DegradationConfig {
-            cooldown_frames: 0,
-            ..DegradationConfig::default()
-        };
-        let mut ctl = DegradationController::new(cfg);
+        let mut ctl = DegradationController::new();
         // negotiation says this client tops out at rung 2
         assert!(ctl.clamp_ceiling(2), "the rung must move to the ceiling");
         assert_eq!(ctl.rung(), 2);
         assert_eq!(ctl.ceiling(), 2);
         // no amount of clean frames climbs above the ceiling
-        for _ in 0..10 * cfg.recover_frames {
+        for _ in 0..10 * RECOVER_FRAMES {
             assert_eq!(ctl.observe(false), None);
         }
         assert_eq!(ctl.rung(), 2);
         // misses still walk down below the ceiling, and recovery returns
         // exactly to it
-        for _ in 0..cfg.degrade_misses {
+        for _ in 0..DEGRADE_MISSES {
             ctl.observe(true);
         }
         assert_eq!(ctl.rung(), 3);
-        for _ in 0..2 * cfg.recover_frames {
+        for _ in 0..2 * RECOVER_FRAMES {
             ctl.observe(false);
         }
         assert_eq!(ctl.rung(), 2);
@@ -628,8 +591,7 @@ mod tests {
 
     #[test]
     fn force_rung_jumps_immediately_and_respects_the_ceiling() {
-        let cfg = DegradationConfig::default();
-        let mut ctl = DegradationController::new(cfg);
+        let mut ctl = DegradationController::new();
         assert!(ctl.force_rung(LADDER.len() - 1), "jump to the floor");
         assert_eq!(ctl.rung(), LADDER.len() - 1);
         assert!(!ctl.force_rung(LADDER.len() - 1), "no-op reports false");
@@ -640,24 +602,8 @@ mod tests {
     }
 
     #[test]
-    fn nack_backoff_saturates_exactly_at_its_bound() {
-        // timeout == max: the very first retry is already saturated and
-        // every further retry stays pinned there
-        let mut nack = NackManager::new(24, 24);
-        nack.on_loss();
-        assert_eq!(nack.begin_frame(), Some(NackSignal::Fresh)); // frame 0
-        assert_eq!(nack.backoff_frames(), 24);
-        quiet_frames(&mut nack, 23); // frames 1-23
-        assert_eq!(nack.begin_frame(), Some(NackSignal::Retry)); // frame 24
-        assert_eq!(nack.backoff_frames(), 24, "2x24 clamps back to 24");
-        quiet_frames(&mut nack, 23); // frames 25-47
-        assert_eq!(nack.begin_frame(), Some(NackSignal::Retry)); // frame 48
-        assert_eq!(nack.backoff_frames(), 24);
-    }
-
-    #[test]
     fn keyframe_mid_backoff_window_resets_the_schedule() {
-        let mut nack = NackManager::new(3, 24);
+        let mut nack = NackManager::new();
         nack.on_loss();
         assert_eq!(nack.begin_frame(), Some(NackSignal::Fresh)); // frame 0
         quiet_frames(&mut nack, 2); // frames 1-2
@@ -681,7 +627,7 @@ mod tests {
         // the session processes the transfer outcome before polling the
         // next frame: a loss followed by a keyframe in the same frame
         // leaves no outstanding request...
-        let mut nack = NackManager::new(3, 24);
+        let mut nack = NackManager::new();
         nack.on_loss();
         nack.on_keyframe_delivered();
         assert!(!nack.awaiting());
@@ -697,20 +643,11 @@ mod tests {
 
     #[test]
     fn duplicate_losses_do_not_stack_requests() {
-        let mut nack = NackManager::new(3, 24);
+        let mut nack = NackManager::new();
         nack.on_loss();
         nack.on_loss();
         nack.on_loss();
         assert_eq!(nack.begin_frame(), Some(NackSignal::Fresh));
         assert_eq!(nack.begin_frame(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn empty_window_rejected() {
-        DegradationController::new(DegradationConfig {
-            window: 0,
-            ..DegradationConfig::default()
-        });
     }
 }

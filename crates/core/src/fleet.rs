@@ -54,7 +54,7 @@
 
 use std::collections::VecDeque;
 
-use crate::degrade::{DegradationConfig, LADDER};
+use crate::degrade::LADDER;
 use crate::recovery::RecoverySummary;
 use crate::session::{Pipeline, SessionConfig};
 use crate::step::{SessionStep, Staged};
@@ -62,7 +62,7 @@ use crate::GssError;
 use gss_codec::RateControlConfig;
 use gss_net::{FaultPlan, FlowStats, LinkProfile, SharedLink};
 use gss_platform::pool::PoolHandle;
-use gss_platform::{DeviceProfile, ServerModel, REALTIME_BUDGET_MS};
+use gss_platform::{DeviceProfile, REALTIME_BUDGET_MS};
 use gss_render::GameId;
 use gss_telemetry::json::{json_escape, json_f64};
 use gss_telemetry::timeseries::{
@@ -162,8 +162,6 @@ pub struct FleetConfig {
     pub lr_size: (usize, usize),
     /// GOP length per session.
     pub gop_size: usize,
-    /// Intra quality of each session's encoder.
-    pub encoder_quality: u8,
     /// Per-session nominal rate target, Mbps at deployment scale. The
     /// allocator scales this down when the fleet oversubscribes the
     /// budget.
@@ -174,11 +172,6 @@ pub struct FleetConfig {
     /// Concurrent render/encode slots on the consolidation server:
     /// server-side stage latencies stretch by `ceil(n / server_slots)`.
     pub server_slots: usize,
-    /// Server timing model (per slot).
-    pub server_model: ServerModel,
-    /// Degradation-ladder configuration shared by every session; `None`
-    /// pins each session to its negotiated rung.
-    pub degradation: Option<DegradationConfig>,
     /// Join admission control.
     pub admission: AdmissionPolicy,
     /// Worker-pool capacity for the produce phase, captured once at
@@ -195,7 +188,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet on the given shared link with no sessions yet: 120 ticks,
-    /// fast canvas, adaptive degradation, default admission policy.
+    /// fast canvas, default admission policy.
     pub fn new(link: LinkProfile, link_seed: u64) -> Self {
         FleetConfig {
             link,
@@ -204,12 +197,9 @@ impl FleetConfig {
             ticks: 120,
             lr_size: (128, 72),
             gop_size: 60,
-            encoder_quality: 75,
             session_rate_mbps: 8.0,
             uplink_utilization: 0.7,
             server_slots: 4,
-            server_model: ServerModel::default(),
-            degradation: Some(DegradationConfig::default()),
             admission: AdmissionPolicy::default(),
             pool: PoolHandle::current(),
             sampling: None,
@@ -269,9 +259,9 @@ impl FleetConfig {
     }
 
     /// The `run_session` configuration one fleet session streams with:
-    /// the fleet's canvas, GOP, codec and server model, rate control at
-    /// the nominal per-session rate, loss recovery always on and no pixel
-    /// path. `telemetry` is the session's trace collector.
+    /// the fleet's canvas and GOP, rate control at the nominal per-session
+    /// rate, the degradation controller and loss recovery always on, and
+    /// no pixel path. `telemetry` is the session's trace collector.
     fn session_config(
         &self,
         spec: &FleetSessionSpec,
@@ -282,8 +272,6 @@ impl FleetConfig {
             gop_size: self.gop_size,
             lr_size: self.lr_size,
             evaluate_quality: false,
-            encoder_quality: self.encoder_quality,
-            server_model: self.server_model.clone(),
             // consolidation needs the controller to actually reach small
             // per-session shares, so open the quantizer range all the way
             // down
@@ -294,7 +282,7 @@ impl FleetConfig {
             loss_recovery: true,
             telemetry,
             fault_plan: spec.fault_plan.clone(),
-            degradation: self.degradation,
+            degradation: true,
             pool: self.pool,
             ..SessionConfig::new(spec.game, spec.device.clone())
         }

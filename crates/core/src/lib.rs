@@ -62,10 +62,7 @@ pub mod session;
 mod step;
 
 pub use client::{ClientOutput, GameStreamClient};
-pub use degrade::{
-    DegradationConfig, DegradationController, LadderRung, LadderStep, NackManager, NackSignal,
-    LADDER,
-};
+pub use degrade::{DegradationController, LadderRung, LadderStep, NackManager, NackSignal, LADDER};
 pub use error::GssError;
 pub use fleet::{
     run_fleet, AdmissionPolicy, AdmissionSummary, FleetConfig, FleetReport, FleetSessionReport,

@@ -32,14 +32,14 @@ use crate::client::GameStreamClient;
 use crate::mtp::{MtpBreakdown, FULL_LR};
 use crate::nemo::NemoClient;
 use crate::recovery::RecoverySummary;
-use crate::roi::{plan_roi_window, RoiDetectorConfig};
+use crate::roi::plan_roi_window;
 use crate::step::{InFlight, SessionStep};
 use crate::GssError;
 use gss_codec::FrameType;
 use gss_frame::Frame;
 use gss_metrics::{perceptual_distance, psnr, region_weighted_psnr};
 use gss_net::{DropCause, FaultPlan, LinkProfile, SharedLink};
-use gss_platform::{DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, ServerModel, Stage};
+use gss_platform::{DeviceProfile, EnergyBreakdown, EnergyMeter, Rail, Stage};
 use gss_render::GameId;
 use gss_telemetry::{Counter, SinkHandle, TelemetrySummary};
 use serde::{Deserialize, Serialize};
@@ -86,10 +86,6 @@ pub struct SessionConfig {
     pub evaluate_quality: bool,
     /// Intra quality of the codec.
     pub encoder_quality: u8,
-    /// Server timing model.
-    pub server_model: ServerModel,
-    /// RoI detector settings (GameStreamSR only).
-    pub detector: RoiDetectorConfig,
     /// Optional temporal RoI stabilization (extension; `None` = raw
     /// per-frame detections, as in the paper).
     pub tracker: Option<crate::roi::TrackerConfig>,
@@ -119,10 +115,10 @@ pub struct SessionConfig {
     /// pipeline only): a rolling window of deadline misses and drops walks
     /// the degradation ladder ([`crate::degrade::LADDER`]) — shrinking the
     /// RoI window, swapping in cheaper SR tiers, cutting the rate target —
-    /// and climbs back with hysteresis. Its NACK timing also paces
-    /// keyframe re-requests under loss recovery. `None` disables
-    /// adaptation (the paper's fixed configuration).
-    pub degradation: Option<crate::degrade::DegradationConfig>,
+    /// and climbs back with hysteresis (the tuning is the constants in
+    /// [`crate::degrade`]). `false` disables adaptation (the paper's
+    /// fixed configuration).
+    pub degradation: bool,
     /// Worker-pool capacity, captured once at construction and bound to
     /// the stepping thread for the whole run. Threading the handle through
     /// the config (instead of reading the process-wide knob at every use
@@ -146,14 +142,12 @@ impl SessionConfig {
             scale: 2,
             evaluate_quality: true,
             encoder_quality: 75,
-            server_model: ServerModel::default(),
-            detector: RoiDetectorConfig::default(),
             tracker: None,
             rate_control: None,
             loss_recovery: false,
             telemetry: None,
             fault_plan: FaultPlan::default(),
-            degradation: None,
+            degradation: false,
             pool: gss_platform::pool::PoolHandle::current(),
         }
     }
@@ -177,33 +171,16 @@ impl SessionConfig {
         self
     }
 
-    /// Attaches a tail-sampling trace collector
-    /// ([`gss_telemetry::SamplingTraceSink`]) under `policy`, fanning out
-    /// alongside any sink already configured, and returns a shared handle
-    /// for exporting the retained trace after the run.
-    pub fn with_sampled_trace(
-        mut self,
-        policy: gss_telemetry::SamplingPolicy,
-    ) -> (Self, gss_telemetry::SamplingTraceSink) {
-        let sampler = gss_telemetry::SamplingTraceSink::new(policy);
-        let handle = SinkHandle::new(sampler.clone());
-        self.telemetry = Some(match self.telemetry.take() {
-            Some(existing) => SinkHandle::fanout(vec![existing, handle]),
-            None => handle,
-        });
-        (self, sampler)
-    }
-
     /// Injects a scripted fault timeline into the session.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Enables the adaptive degradation controller — and loss recovery,
-    /// whose NACK pacing the controller's configuration governs.
-    pub fn with_degradation(mut self, degradation: crate::degrade::DegradationConfig) -> Self {
-        self.degradation = Some(degradation);
+    /// Enables the adaptive degradation controller and, with it, loss
+    /// recovery (NACK-paced keyframe resync after a dropped frame).
+    pub fn with_degradation(mut self) -> Self {
+        self.degradation = true;
         self.loss_recovery = true;
         self
     }
@@ -944,7 +921,7 @@ mod tests {
         }
         .without_quality()
         .with_faults(FaultPlan::crash_storm_scaled(scale))
-        .with_degradation(crate::degrade::DegradationConfig::default());
+        .with_degradation();
         let r = run_session(&cfg, Pipeline::GameStreamSr).unwrap();
         let rec = r.recovery.as_ref().expect("machine was armed");
         assert_eq!(rec.crashes, 5, "every scripted crash must be sampled");

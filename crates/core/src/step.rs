@@ -39,7 +39,7 @@ use crate::degrade::{
 use crate::mtp::{self, MtpBreakdown, UpscaleTiming, FULL_LR};
 use crate::negotiate::negotiate;
 use crate::recovery::{RecoveryEvent, RecoveryMachine, RecoverySummary};
-use crate::roi::plan_roi_window;
+use crate::roi::{plan_roi_window, RoiDetectorConfig};
 use crate::server::{GameStreamServer, ServerConfig, ServerPacket};
 use crate::session::{FrameRecord, Pipeline, SessionConfig};
 use crate::GssError;
@@ -149,7 +149,7 @@ impl SessionStep {
                 gop_size: config.gop_size,
                 ..EncoderConfig::default()
             },
-            detector: config.detector,
+            detector: RoiDetectorConfig::default(),
             roi_window: plan.scaled_to_canvas(config.lr_size.0, FULL_LR.width()),
             time_stride: (FULL_LR.width() / config.lr_size.0.max(1)).max(1),
             tracker: config.tracker,
@@ -168,11 +168,8 @@ impl SessionStep {
         let attributor = Attributor::new(rec.label(), REALTIME_BUDGET_MS);
         // the ladder controller adapts the GameStreamSR pipeline only; the
         // NACK manager paces keyframe requests whenever loss recovery is on
-        let controller = match (pipeline, config.degradation) {
-            (Pipeline::GameStreamSr, Some(cfg)) => Some(DegradationController::new(cfg)),
-            _ => None,
-        };
-        let nack_cfg = config.degradation.unwrap_or_default();
+        let controller = (pipeline == Pipeline::GameStreamSr && config.degradation)
+            .then(DegradationController::new);
         // decoder crash recovery: the machine is armed only when the plan
         // scripts a crash, and arming it implies loss recovery — a
         // recovering decoder freezes the display and resyncs on a NACKed
@@ -186,7 +183,7 @@ impl SessionStep {
             device: config.device.clone(),
             faults: config.fault_plan.clone(),
             lr_size: config.lr_size,
-            server_model: config.server_model.clone(),
+            server_model: ServerModel::default(),
             byte_scale,
             server,
             rec,
@@ -194,10 +191,7 @@ impl SessionStep {
             slo: SloEngine::standard(REALTIME_BUDGET_MS),
             controller,
             pinned_rung: 0,
-            nack: NackManager::new(
-                nack_cfg.nack_timeout_frames,
-                nack_cfg.nack_backoff_max_frames,
-            ),
+            nack: NackManager::new(),
             loss_recovery: config.loss_recovery || recovery.is_some(),
             recovery,
             decode_pixels: 0,

@@ -31,9 +31,13 @@
 //! Threads come from `std::thread::scope` (real OS threads, structured
 //! join), so borrowed inputs flow into workers without `'static`
 //! gymnastics and every worker has exited before a call returns; a
-//! worker's panic panics the caller once every worker has exited.
+//! worker's panic panics the caller once every worker has exited. A thread
+//! the OS refuses costs only parallelism: [`spawn_or_run`] runs that work
+//! on the calling thread instead.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{Builder, Scope};
 use std::time::Instant;
 
 /// Process-wide worker count; `0` means "not yet resolved".
@@ -333,14 +337,54 @@ impl Drop for PoolBinding {
     }
 }
 
+/// Runs `job` on a new thread of `scope` built by `builder`. When the OS
+/// refuses the thread, runs `job` on the calling thread before returning,
+/// so a refused spawn costs parallelism, never the run. Returns whether
+/// the thread started.
+pub fn spawn_or_run<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    builder: Builder,
+    job: impl FnOnce() + Send + 'scope,
+) -> bool {
+    // boxed, the spawn is compiled once rather than per caller's closure
+    spawn_boxed_or_run(scope, builder, Box::new(job))
+}
+
+type Job<'scope> = Box<dyn FnOnce() + Send + 'scope>;
+
+fn spawn_boxed_or_run<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    builder: Builder,
+    job: Job<'scope>,
+) -> bool {
+    // a refused spawn drops its closure, so the job waits in a slot that
+    // both the thread and the caller can take it from
+    let slot = Arc::new(Mutex::new(Some(job)));
+    let run = |slot: &Mutex<Option<Job<'scope>>>| {
+        let job = slot.lock().expect("job slot poisoned").take();
+        if let Some(job) = job {
+            job();
+        }
+    };
+    let thread_slot = Arc::clone(&slot);
+    let spawned = builder
+        .spawn_scoped(scope, move || run(&thread_slot))
+        .is_ok();
+    if !spawned {
+        run(&slot);
+    }
+    spawned
+}
+
 /// The one scheduler behind every entry point. Item `i` goes to group
 /// `i % parts` with `parts = min(workers, n)`; each group runs its items
 /// serially, in index order, on its own scoped thread while the caller
-/// waits. Per the determinism contract the grouping only picks *which
-/// thread* runs an item: results travel through the items themselves
-/// (disjoint `&mut` slots or bands), so no thread is joined by hand and the
-/// merge order is the index order. One worker or at most one item runs
-/// inline; accounting mode runs the groups serially and times each one.
+/// waits (or on the caller, when the OS refuses that thread). Per the
+/// determinism contract the grouping only picks *which thread* runs an
+/// item: results travel through the items themselves (disjoint `&mut`
+/// slots or bands), so no thread is joined by hand and the merge order is
+/// the index order. One worker or at most one item runs inline; accounting
+/// mode runs the groups serially and times each one.
 fn run_cyclic<I, F>(items: I, workers: usize, f: F)
 where
     I: ExactSizeIterator,
@@ -373,7 +417,7 @@ where
     let f = &f;
     std::thread::scope(|s| {
         for group in groups {
-            s.spawn(move || {
+            spawn_or_run(s, Builder::new(), move || {
                 for (i, item) in group {
                     f(i, item);
                 }
@@ -600,6 +644,26 @@ mod tests {
     fn handle_workers_floor_is_one() {
         assert_eq!(PoolHandle::with_workers(0).workers(), 1);
         assert!(PoolHandle::current().workers() >= 1);
+    }
+
+    #[test]
+    fn a_refused_spawn_runs_the_job_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = |builder: Builder| {
+            let mut ran_on = None;
+            let spawned = std::thread::scope(|s| {
+                spawn_or_run(s, builder, || ran_on = Some(std::thread::current().id()))
+            });
+            (spawned, ran_on.expect("the job ran"))
+        };
+        // no OS grants an exabyte stack: the spawn fails at once and starts
+        // no thread
+        let (spawned, thread) = ran_on(Builder::new().stack_size(1 << 60));
+        assert!(!spawned);
+        assert_eq!(thread, caller);
+        let (spawned, thread) = ran_on(Builder::new());
+        assert!(spawned);
+        assert_ne!(thread, caller);
     }
 
     // a panicking item on a worker thread must panic the caller, never

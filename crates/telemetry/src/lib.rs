@@ -49,7 +49,7 @@ pub use sampling::{
     compute_exemplars, enforce_fleet_cap, KeepReason, SamplingPolicy, SamplingStats,
     SamplingSummary, SamplingTraceSink, SessionExemplars, TraceBudget,
 };
-pub use sink::{Event, InstantKind, JsonlSink, Level, MemorySink, MultiSink, Sink, SinkHandle};
+pub use sink::{Event, InstantKind, JsonlSink, Level, MemorySink, Sink, SinkHandle};
 pub use slo::{FrameHealth, Objective, SloEngine, SloEvent, SloSpec, SloStatus, SloSummary};
 pub use summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
 pub use timeseries::{

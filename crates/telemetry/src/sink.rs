@@ -334,14 +334,15 @@ impl Drop for JsonlSink {
 }
 
 /// A sink that fans every event out to several downstream sinks — e.g. a
-/// JSONL file *and* a trace collector fed by the same session.
-pub struct MultiSink {
+/// JSONL file *and* a trace collector fed by the same session. Built only
+/// through [`SinkHandle::fanout`].
+struct MultiSink {
     sinks: Vec<SinkHandle>,
 }
 
 impl MultiSink {
     /// A fan-out over `sinks`, in emission order.
-    pub fn new(sinks: Vec<SinkHandle>) -> Self {
+    fn new(sinks: Vec<SinkHandle>) -> Self {
         MultiSink { sinks }
     }
 }
@@ -376,9 +377,8 @@ impl SinkHandle {
         }
     }
 
-    /// A handle to a [`MultiSink`] fanning events out to `sinks`, in
-    /// emission order — the one-call form of the common "file *and* trace
-    /// collector off the same session" wiring.
+    /// A handle fanning every event out to `sinks`, in emission order —
+    /// the "file *and* trace collector off the same session" wiring.
     pub fn fanout(sinks: Vec<SinkHandle>) -> Self {
         SinkHandle::new(MultiSink::new(sinks))
     }

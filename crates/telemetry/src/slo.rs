@@ -20,14 +20,15 @@
 
 use crate::json::{json_escape, json_f64};
 
-/// Default fast-window length, frames (1 s at 60 FPS).
+/// Fast-window length, frames (1 s at 60 FPS).
 pub const FAST_WINDOW_FRAMES: usize = 60;
 
-/// Default slow-window length, frames (5 s at 60 FPS).
+/// Slow-window length, frames (5 s at 60 FPS).
 pub const SLOW_WINDOW_FRAMES: usize = 300;
 
-/// Default burn-rate alert threshold: a breach fires when both windows
-/// consume the error budget at least this many times faster than allowed.
+/// Burn-rate alert threshold of the fraction objectives: a breach fires
+/// when both windows consume the error budget at least this many times
+/// faster than allowed.
 pub const BURN_THRESHOLD: f64 = 6.0;
 
 /// One frame's health signals, as seen by every objective.
@@ -112,19 +113,14 @@ impl Objective {
     }
 }
 
-/// One declarative objective plus its alerting windows.
+/// One declarative objective under its name. Every objective is judged
+/// over the same [`FAST_WINDOW_FRAMES`] and [`SLOW_WINDOW_FRAMES`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SloSpec {
     /// Stable kebab-case name used in reports, metrics and trace markers.
     pub name: &'static str,
     /// The promise being tracked.
     pub objective: Objective,
-    /// Fast window length, frames.
-    pub fast_window: usize,
-    /// Slow window length, frames.
-    pub slow_window: usize,
-    /// Burn-rate alert threshold (both windows must exceed it).
-    pub burn_threshold: f64,
 }
 
 /// A breach-state transition emitted by [`SloEngine::observe`].
@@ -154,7 +150,7 @@ struct BadWindow {
 impl BadWindow {
     fn new(len: usize) -> Self {
         BadWindow {
-            bits: vec![false; len.max(1)],
+            bits: vec![false; len],
             next: 0,
             filled: 0,
             bad: 0,
@@ -228,25 +224,21 @@ pub struct SloEngine {
 
 impl SloEngine {
     /// An engine over explicit objective specs.
-    pub fn new(specs: Vec<SloSpec>) -> Self {
+    fn new(specs: Vec<SloSpec>) -> Self {
         let states = specs
             .into_iter()
-            .map(|spec| {
-                let fast = BadWindow::new(spec.fast_window);
-                let slow = BadWindow::new(spec.slow_window);
-                SloState {
-                    spec,
-                    fast,
-                    slow,
-                    run: 0,
-                    frames: 0,
-                    bad_frames: 0,
-                    breaches: 0,
-                    breached_frames: 0,
-                    max_fast_burn: 0.0,
-                    max_slow_burn: 0.0,
-                    breached: false,
-                }
+            .map(|spec| SloState {
+                spec,
+                fast: BadWindow::new(FAST_WINDOW_FRAMES),
+                slow: BadWindow::new(SLOW_WINDOW_FRAMES),
+                run: 0,
+                frames: 0,
+                bad_frames: 0,
+                breaches: 0,
+                breached_frames: 0,
+                max_fast_burn: 0.0,
+                max_slow_burn: 0.0,
+                breached: false,
             })
             .collect();
         SloEngine { states }
@@ -263,23 +255,14 @@ impl SloEngine {
                     budget_ms,
                     error_budget: 0.01,
                 },
-                fast_window: FAST_WINDOW_FRAMES,
-                slow_window: SLOW_WINDOW_FRAMES,
-                burn_threshold: BURN_THRESHOLD,
             },
             SloSpec {
                 name: "effective-fps",
                 objective: Objective::EffectiveFpsAtLeast { target_fps: 45.0 },
-                fast_window: FAST_WINDOW_FRAMES,
-                slow_window: SLOW_WINDOW_FRAMES,
-                burn_threshold: BURN_THRESHOLD,
             },
             SloSpec {
                 name: "frozen-run",
                 objective: Objective::FrozenRunAtMost { max_run: 30 },
-                fast_window: FAST_WINDOW_FRAMES,
-                slow_window: SLOW_WINDOW_FRAMES,
-                burn_threshold: 1.0,
             },
         ])
     }
@@ -308,7 +291,7 @@ impl SloEngine {
                 // run-length objectives breach the moment the cap is
                 // exceeded and recover the moment the display unfreezes
                 Objective::FrozenRunAtMost { .. } => fast_burn > 1.0,
-                _ => fast_burn >= st.spec.burn_threshold && slow_burn >= st.spec.burn_threshold,
+                _ => fast_burn >= BURN_THRESHOLD && slow_burn >= BURN_THRESHOLD,
             };
             if over != st.breached {
                 st.breached = over;

@@ -303,12 +303,10 @@ impl SeriesSet {
 /// Detects degradation-ladder oscillation: a session whose rung keeps
 /// reversing direction is thrashing between quality tiers (each reversal
 /// is a visible quality pop), which a stable controller should not do.
-/// Fires on entry once at least `reversals` direction reversals land
-/// within a `window_ticks` window.
-#[derive(Debug, Clone)]
+/// Fires on entry once at least [`Self::REVERSALS`] direction reversals
+/// land within a [`Self::WINDOW_TICKS`] window.
+#[derive(Debug, Clone, Default)]
 pub struct RungFlapDetector {
-    window_ticks: u64,
-    reversals: usize,
     last_rung: Option<usize>,
     last_dir: i8,
     reversal_ticks: VecDeque<u64>,
@@ -318,28 +316,14 @@ pub struct RungFlapDetector {
 }
 
 impl RungFlapDetector {
-    /// Default window: 2 s of ticks.
-    pub const DEFAULT_WINDOW_TICKS: u64 = 120;
-    /// Default reversal threshold.
-    pub const DEFAULT_REVERSALS: usize = 3;
+    /// Window the reversals are counted over: 2 s of ticks.
+    pub const WINDOW_TICKS: u64 = 120;
+    /// Reversals within the window that make a flap.
+    pub const REVERSALS: usize = 3;
 
-    /// A detector with the default thresholds.
+    /// A detector that has seen no tick yet.
     pub fn new() -> Self {
-        Self::with_thresholds(Self::DEFAULT_WINDOW_TICKS, Self::DEFAULT_REVERSALS)
-    }
-
-    /// A detector firing at `reversals` direction reversals within
-    /// `window_ticks`.
-    pub fn with_thresholds(window_ticks: u64, reversals: usize) -> Self {
-        RungFlapDetector {
-            window_ticks: window_ticks.max(1),
-            reversals: reversals.max(1),
-            last_rung: None,
-            last_dir: 0,
-            reversal_ticks: VecDeque::new(),
-            firing: false,
-            events: 0,
-        }
+        Self::default()
     }
 
     /// Observes the session's rung this tick; returns a detail string on
@@ -358,11 +342,11 @@ impl RungFlapDetector {
         while self
             .reversal_ticks
             .front()
-            .is_some_and(|&t| t + self.window_ticks <= tick)
+            .is_some_and(|&t| t + Self::WINDOW_TICKS <= tick)
         {
             self.reversal_ticks.pop_front();
         }
-        let active = self.reversal_ticks.len() >= self.reversals;
+        let active = self.reversal_ticks.len() >= Self::REVERSALS;
         let fired = active && !self.firing;
         self.firing = active;
         if fired {
@@ -370,7 +354,7 @@ impl RungFlapDetector {
             Some(format!(
                 "rung flap: {} ladder reversals within {} ticks (now at rung {})",
                 self.reversal_ticks.len(),
-                self.window_ticks,
+                Self::WINDOW_TICKS,
                 rung
             ))
         } else {
@@ -379,20 +363,13 @@ impl RungFlapDetector {
     }
 }
 
-impl Default for RungFlapDetector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Detects session starvation: a session whose consumed rate stays under
-/// `fraction` of its fair-share allocation for at least `threshold_ticks`
-/// consecutive ticks is being starved by the shared bottleneck (drops,
-/// freezes, or contention) despite holding an allocation. Fires on entry.
-#[derive(Debug, Clone)]
+/// [`Self::FRACTION`] of its fair-share allocation for at least
+/// [`Self::THRESHOLD_TICKS`] consecutive ticks is being starved by the
+/// shared bottleneck (drops, freezes, or contention) despite holding an
+/// allocation. Fires on entry.
+#[derive(Debug, Clone, Default)]
 pub struct StarvationDetector {
-    threshold_ticks: u64,
-    fraction: f64,
     streak: u64,
     firing: bool,
     /// Longest under-fair-share streak observed, ticks.
@@ -402,34 +379,21 @@ pub struct StarvationDetector {
 }
 
 impl StarvationDetector {
-    /// Default streak threshold: 12 ticks (200 ms) under fair share.
-    pub const DEFAULT_THRESHOLD_TICKS: u64 = 12;
-    /// Default fair-share fraction below which a tick counts as starved.
-    pub const DEFAULT_FRACTION: f64 = 0.5;
+    /// Streak threshold: 12 ticks (200 ms) under fair share.
+    pub const THRESHOLD_TICKS: u64 = 12;
+    /// Fair-share fraction below which a tick counts as starved.
+    pub const FRACTION: f64 = 0.5;
 
-    /// A detector with the default thresholds.
+    /// A detector that has seen no tick yet.
     pub fn new() -> Self {
-        Self::with_thresholds(Self::DEFAULT_THRESHOLD_TICKS, Self::DEFAULT_FRACTION)
-    }
-
-    /// A detector firing after `threshold_ticks` consecutive ticks under
-    /// `fraction` of fair share.
-    pub fn with_thresholds(threshold_ticks: u64, fraction: f64) -> Self {
-        StarvationDetector {
-            threshold_ticks: threshold_ticks.max(1),
-            fraction,
-            streak: 0,
-            firing: false,
-            max_streak: 0,
-            events: 0,
-        }
+        Self::default()
     }
 
     /// Observes one tick's consumed rate against the fair-share
     /// allocation; returns a detail string on the tick starvation is
     /// declared.
     pub fn observe(&mut self, consumed_mbps: f64, fair_share_mbps: f64) -> Option<String> {
-        let starved = fair_share_mbps > 0.0 && consumed_mbps < self.fraction * fair_share_mbps;
+        let starved = fair_share_mbps > 0.0 && consumed_mbps < Self::FRACTION * fair_share_mbps;
         if starved {
             self.streak += 1;
             self.max_streak = self.max_streak.max(self.streak);
@@ -437,14 +401,14 @@ impl StarvationDetector {
             self.streak = 0;
             self.firing = false;
         }
-        let fired = self.streak >= self.threshold_ticks && !self.firing;
+        let fired = self.streak >= Self::THRESHOLD_TICKS && !self.firing;
         if fired {
             self.firing = true;
             self.events += 1;
             Some(format!(
                 "starvation: {:.2} Mbps consumed < {:.0}% of {:.2} Mbps fair share for {} ticks",
                 consumed_mbps,
-                self.fraction * 100.0,
+                Self::FRACTION * 100.0,
                 fair_share_mbps,
                 self.streak
             ))
@@ -454,19 +418,12 @@ impl StarvationDetector {
     }
 }
 
-impl Default for StarvationDetector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Detects admission storms: a burst of join requests dense enough to
 /// blow through the wait queue (a flash crowd). Fires on entry once at
-/// least `joins` requests land within a `window_ticks` window.
-#[derive(Debug, Clone)]
+/// least [`Self::JOINS`] requests land within a [`Self::WINDOW_TICKS`]
+/// window.
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionStormDetector {
-    window_ticks: u64,
-    joins: usize,
     join_ticks: VecDeque<u64>,
     firing: bool,
     /// Episodes fired over the detector's lifetime.
@@ -474,25 +431,14 @@ pub struct AdmissionStormDetector {
 }
 
 impl AdmissionStormDetector {
-    /// Default window: 10 ticks.
-    pub const DEFAULT_WINDOW_TICKS: u64 = 10;
-    /// Default join-count threshold.
-    pub const DEFAULT_JOINS: usize = 5;
+    /// Window the join requests are counted over: 10 ticks.
+    pub const WINDOW_TICKS: u64 = 10;
+    /// Join requests within the window that make a storm.
+    pub const JOINS: usize = 5;
 
-    /// A detector with the default thresholds.
+    /// A detector that has seen no tick yet.
     pub fn new() -> Self {
-        Self::with_thresholds(Self::DEFAULT_WINDOW_TICKS, Self::DEFAULT_JOINS)
-    }
-
-    /// A detector firing at `joins` join requests within `window_ticks`.
-    pub fn with_thresholds(window_ticks: u64, joins: usize) -> Self {
-        AdmissionStormDetector {
-            window_ticks: window_ticks.max(1),
-            joins: joins.max(1),
-            join_ticks: VecDeque::new(),
-            firing: false,
-            events: 0,
-        }
+        Self::default()
     }
 
     /// Observes this tick's join-request count; returns a detail string on
@@ -504,11 +450,11 @@ impl AdmissionStormDetector {
         while self
             .join_ticks
             .front()
-            .is_some_and(|&t| t + self.window_ticks <= tick)
+            .is_some_and(|&t| t + Self::WINDOW_TICKS <= tick)
         {
             self.join_ticks.pop_front();
         }
-        let active = self.join_ticks.len() >= self.joins;
+        let active = self.join_ticks.len() >= Self::JOINS;
         let fired = active && !self.firing;
         self.firing = active;
         if fired {
@@ -516,17 +462,11 @@ impl AdmissionStormDetector {
             Some(format!(
                 "admission storm: {} join requests within {} ticks",
                 self.join_ticks.len(),
-                self.window_ticks
+                Self::WINDOW_TICKS
             ))
         } else {
             None
         }
-    }
-}
-
-impl Default for AdmissionStormDetector {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -671,8 +611,8 @@ mod tests {
 
     #[test]
     fn rung_flap_fires_on_entry_once_per_episode() {
-        let mut d = RungFlapDetector::with_thresholds(20, 3);
-        // down-up-down-up: 3 reversals
+        let mut d = RungFlapDetector::new();
+        // down-up-down-up: 3 reversals, the last at tick 7
         let rungs = [0, 1, 1, 0, 0, 1, 1, 0];
         let mut fires = Vec::new();
         for (tick, &r) in rungs.iter().enumerate() {
@@ -682,15 +622,17 @@ mod tests {
         }
         assert_eq!(fires.len(), 1, "{fires:?}");
         assert_eq!(d.events, 1);
-        // staying flappy does not re-fire; a long calm period resets
-        for tick in 8..60u64 {
+        // staying flappy does not re-fire; a calm window ages every
+        // reversal out and resets
+        let calm_end = 8 + RungFlapDetector::WINDOW_TICKS;
+        for tick in 8..calm_end {
             assert!(d.observe(tick, 0).is_none());
         }
         // a fresh burst of reversals fires a second episode
         let rungs2 = [1, 1, 0, 0, 1, 1, 0];
         let mut refired = false;
         for (i, &r) in rungs2.iter().enumerate() {
-            refired |= d.observe(60 + i as u64, r).is_some();
+            refired |= d.observe(calm_end + i as u64, r).is_some();
         }
         assert!(refired, "second flap episode must fire again");
         assert_eq!(d.events, 2);
@@ -708,17 +650,19 @@ mod tests {
 
     #[test]
     fn starvation_fires_after_the_streak_threshold_only() {
-        let mut d = StarvationDetector::with_thresholds(3, 0.5);
-        assert!(d.observe(0.1, 1.0).is_none());
-        assert!(d.observe(0.1, 1.0).is_none());
+        let threshold = StarvationDetector::THRESHOLD_TICKS;
+        let mut d = StarvationDetector::new();
+        for _ in 1..threshold {
+            assert!(d.observe(0.1, 1.0).is_none());
+        }
         let fired = d.observe(0.1, 1.0);
-        assert!(fired.is_some(), "third starved tick fires");
+        assert!(fired.is_some(), "the threshold-th starved tick fires");
         assert!(d.observe(0.1, 1.0).is_none(), "no re-fire inside episode");
         assert_eq!(d.events, 1);
-        assert_eq!(d.max_streak, 4);
+        assert_eq!(d.max_streak, threshold + 1);
         // recovery resets; a fresh streak fires a new episode
         assert!(d.observe(0.9, 1.0).is_none());
-        for _ in 0..2 {
+        for _ in 1..threshold {
             assert!(d.observe(0.0, 1.0).is_none());
         }
         assert!(d.observe(0.0, 1.0).is_some());
@@ -727,14 +671,17 @@ mod tests {
 
     #[test]
     fn starvation_ignores_sessions_without_an_allocation() {
-        let mut d = StarvationDetector::with_thresholds(1, 0.5);
-        assert!(d.observe(0.0, 0.0).is_none(), "no share, no starvation");
+        let mut d = StarvationDetector::new();
+        for _ in 0..2 * StarvationDetector::THRESHOLD_TICKS {
+            assert!(d.observe(0.0, 0.0).is_none(), "no share, no starvation");
+        }
         assert_eq!(d.events, 0);
+        assert_eq!(d.max_streak, 0);
     }
 
     #[test]
     fn admission_storm_fires_on_a_flash_crowd() {
-        let mut d = AdmissionStormDetector::with_thresholds(10, 5);
+        let mut d = AdmissionStormDetector::new();
         assert!(d.observe(0, 2).is_none());
         assert!(d.observe(1, 2).is_none());
         assert!(d.observe(2, 1).is_some(), "5th join within the window");

@@ -3,7 +3,6 @@
 //! deadline-miss attribution floor, zero-budget fleets, and the
 //! one-session differential against `run_session`.
 
-use gamestreamsr::degrade::DegradationConfig;
 use gamestreamsr::fleet::{
     AdmissionPolicy, FleetConfig, FleetReport, FleetSessionReport, FleetSessionSpec, FleetSim,
 };
@@ -387,7 +386,6 @@ fn one_session_fleet_reproduces_run_session() {
             frames: ticks,
             gop_size: fleet.gop_size,
             lr_size: fleet.lr_size,
-            encoder_quality: fleet.encoder_quality,
             rate_control: Some(RateControlConfig {
                 min_quality: 10,
                 ..RateControlConfig::for_bitrate_mbps(18.0)
@@ -396,7 +394,7 @@ fn one_session_fleet_reproduces_run_session() {
         }
         .without_quality()
         .with_faults(faults)
-        .with_degradation(DegradationConfig::default());
+        .with_degradation();
 
         let report = FleetSim::new(fleet).run_until_idle().expect("fleet");
         let fs = &report.sessions[0];

@@ -10,7 +10,6 @@
 //! debug build.
 
 use gss::codec::RateControlConfig;
-use gss::core::degrade::DegradationConfig;
 use gss::core::fleet::{FleetConfig, FleetSessionSpec, FleetSim};
 use gss::core::session::{run_session, Pipeline, SessionConfig};
 use gss::net::{FaultEvent, FaultKind, FaultPlan, LinkProfile};
@@ -73,7 +72,7 @@ fn crash_storm_session_matches_its_golden_digest() {
     }
     .without_quality()
     .with_faults(FaultPlan::crash_storm_scaled(scale))
-    .with_degradation(DegradationConfig::default());
+    .with_degradation();
     let d = session_digest(config, Pipeline::GameStreamSr);
     assert_eq!(
         d, 0x84cc_e640_f9d5_85b1,
@@ -108,7 +107,7 @@ fn pixel_path_session_matches_its_golden_digest() {
         gop_size: 4,
         ..canvas_session(GameId::G1, DeviceProfile::tier_low())
     }
-    .with_degradation(DegradationConfig::default());
+    .with_degradation();
     let d = session_digest(config, Pipeline::GameStreamSr);
     assert_eq!(
         d, 0x6739_3eef_1d20_495e,
@@ -150,7 +149,7 @@ fn canonical_storm_session_matches_its_golden_digest() {
     }
     .without_quality()
     .with_faults(FaultPlan::canonical_scaled(scale))
-    .with_degradation(DegradationConfig::default());
+    .with_degradation();
     let d = session_digest(config, Pipeline::GameStreamSr);
     assert_eq!(
         d, 0xa633_6ea8_c034_c28b,

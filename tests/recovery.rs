@@ -11,7 +11,7 @@
 //! byte-identically across worker counts.
 
 use gss::codec::RateControlConfig;
-use gss::core::degrade::{DegradationConfig, LADDER};
+use gss::core::degrade::LADDER;
 use gss::core::session::{run_session, Pipeline, SessionConfig, SessionReport};
 use gss::net::{DropCause, FaultEvent, FaultKind, FaultPlan};
 use gss::platform::{pool, DeviceProfile};
@@ -41,7 +41,7 @@ fn storm_cfg(device: DeviceProfile) -> SessionConfig {
     }
     .without_quality()
     .with_faults(FaultPlan::crash_storm_scaled(TIME_SCALE))
-    .with_degradation(DegradationConfig::default())
+    .with_degradation()
 }
 
 fn assert_storm_recovered(name: &str, r: &SessionReport) {

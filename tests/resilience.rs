@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use gss::codec::RateControlConfig;
-use gss::core::degrade::DegradationConfig;
+use gss::core::degrade::NACK_BACKOFF_MAX_FRAMES;
 use gss::core::session::{run_session, Pipeline, SessionConfig, SessionReport};
 use gss::net::{DropCause, FaultPlan};
 use gss::platform::DeviceProfile;
@@ -52,7 +52,7 @@ fn clearance_frame() -> usize {
 fn controller_report() -> &'static SessionReport {
     static R: OnceLock<SessionReport> = OnceLock::new();
     R.get_or_init(|| {
-        let cfg = faulted_cfg().with_degradation(DegradationConfig::default());
+        let cfg = faulted_cfg().with_degradation();
         run_session(&cfg, Pipeline::GameStreamSr).unwrap()
     })
 }
@@ -162,7 +162,6 @@ fn drop_causes_agree_between_frame_records_and_telemetry() {
 fn nack_keyframe_attempts_respect_the_backoff_bound() {
     use gss::codec::FrameType;
     let r = no_controller_report();
-    let cfg = DegradationConfig::default();
     let first_drop = r
         .frames
         .iter()
@@ -192,7 +191,7 @@ fn nack_keyframe_attempts_respect_the_backoff_bound() {
         } else if f.frozen {
             since_intra += 1;
             assert!(
-                since_intra <= cfg.nack_backoff_max_frames + 1,
+                since_intra <= NACK_BACKOFF_MAX_FRAMES + 1,
                 "frame {}: {} frames frozen without a keyframe attempt",
                 f.index,
                 since_intra
@@ -209,7 +208,7 @@ fn resilient_sessions_replay_byte_identically() {
         ..faulted_cfg()
     }
     .with_faults(FaultPlan::canonical_scaled(0.1))
-    .with_degradation(DegradationConfig::default());
+    .with_degradation();
     let a = run_session(&cfg, Pipeline::GameStreamSr).unwrap();
     let b = run_session(&cfg, Pipeline::GameStreamSr).unwrap();
     assert_eq!(
@@ -257,7 +256,7 @@ fn canonical_soak_survives_and_bounds_frozen_runs() {
         ..faulted_cfg()
     }
     .with_faults(FaultPlan::canonical())
-    .with_degradation(DegradationConfig::default());
+    .with_degradation();
     let r = run_session(&cfg, Pipeline::GameStreamSr).unwrap();
     assert!(r.fps_effective() >= 30.0, "fps {:.1}", r.fps_effective());
     assert!(

@@ -7,7 +7,6 @@
 //! smaller than its full-trace twin.
 
 use gss::codec::RateControlConfig;
-use gss::core::degrade::DegradationConfig;
 use gss::core::fleet::{FleetConfig, FleetSessionSpec, FleetSim};
 use gss::core::session::{run_session, Pipeline, SessionConfig};
 use gss::net::{FaultEvent, FaultKind, FaultPlan, LinkProfile};
@@ -38,7 +37,7 @@ fn stormy_cfg() -> SessionConfig {
     }
     .without_quality()
     .with_faults(FaultPlan::canonical_scaled(time_scale))
-    .with_degradation(DegradationConfig::default())
+    .with_degradation()
 }
 
 /// An uncapped keep policy: 1-in-16 baseline, ±2 context, budget far
@@ -57,9 +56,11 @@ fn uncapped_policy() -> SamplingPolicy {
 /// Runs the storm once with both collectors fanned out off one session.
 fn dual_run(policy: SamplingPolicy) -> (TraceSink, SamplingTraceSink) {
     let full = TraceSink::new();
-    let (cfg, sampler) = stormy_cfg()
-        .with_telemetry(SinkHandle::new(full.clone()))
-        .with_sampled_trace(policy);
+    let sampler = SamplingTraceSink::new(policy);
+    let cfg = stormy_cfg().with_telemetry(SinkHandle::fanout(vec![
+        SinkHandle::new(full.clone()),
+        SinkHandle::new(sampler.clone()),
+    ]));
     run_session(&cfg, Pipeline::GameStreamSr).expect("session");
     (full, sampler)
 }

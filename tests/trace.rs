@@ -6,7 +6,6 @@
 //! parent.
 
 use gss::codec::RateControlConfig;
-use gss::core::degrade::DegradationConfig;
 use gss::core::session::{run_session, Pipeline, SessionConfig};
 use gss::net::FaultPlan;
 use gss::platform::{pool, DeviceProfile};
@@ -36,7 +35,7 @@ fn stormy_cfg() -> SessionConfig {
     }
     .without_quality()
     .with_faults(FaultPlan::canonical_scaled(time_scale))
-    .with_degradation(DegradationConfig::default())
+    .with_degradation()
 }
 
 fn traced_run() -> (TraceSink, String) {
@@ -213,7 +212,7 @@ fn slo_breach_instants_fire_without_the_controller_and_stay_quiet_with_it() {
     // error budget and the breach surfaces as a causal marker
     let trace = TraceSink::new();
     let cfg = SessionConfig {
-        degradation: None,
+        degradation: false,
         ..stormy_cfg()
     }
     .with_telemetry(SinkHandle::new(trace.clone()));
