@@ -34,8 +34,12 @@
 //!    Sessions are batched across the worker pool via
 //!    [`PoolHandle::for_each_mut`]; each session owns its recorder, trace
 //!    sink and RNG-free pipeline state, so the phase is embarrassingly
-//!    parallel and bit-deterministic at any worker count. Only a small
-//!    staged summary survives the phase, never the server packet.
+//!    parallel and bit-deterministic at any worker count. A worker steps
+//!    its sessions bound to its share of the pool, so a session's kernel
+//!    regions (render rows, RoI, DCT, motion, entropy) divide that share:
+//!    with at least as many sessions as workers they run inline instead of
+//!    spawning threads of their own. Only a small staged summary survives
+//!    the phase, never the server packet.
 //! 5. **Transport + control** (serial) — in session order (the
 //!    bottleneck has one clock and one RNG, so the serial order *is* the
 //!    determinism contract), each session's step sends its staged frame

@@ -24,16 +24,21 @@
 //! touching global state (the paired scalar-vs-parallel identity tests),
 //! and a session captures one at construction and [binds](PoolHandle::bind)
 //! it to the stepping thread, so concurrent sessions in one process cannot
-//! clobber each other through the global knob. A binding covers only the
-//! bound thread: regions nested inside a pool worker (or inside the
-//! client's NPU thread) read the process-wide knob.
+//! clobber each other through the global knob. A region of `N` workers
+//! splits its items into `P = min(N, items)` groups, and every group runs
+//! bound to its share of the workers, `N / P` (at least 1). A region nested
+//! in a group (a kernel of a fleet session that a pool worker steps)
+//! therefore divides that share, and one region tree never runs more
+//! threads than its `N`. Only the client's NPU thread, which no group
+//! binds, reads the process-wide knob.
 //!
 //! Threads come from `std::thread::scope` (real OS threads, structured
 //! join), so borrowed inputs flow into workers without `'static`
 //! gymnastics and every worker has exited before a call returns; a
-//! worker's panic panics the caller once every worker has exited. A thread
-//! the OS refuses costs only parallelism: [`spawn_or_run`] runs that work
-//! on the calling thread instead.
+//! worker's panic panics the caller once every worker has exited. The
+//! caller runs the first group itself, so a region spawns `P − 1` threads.
+//! A thread the OS refuses costs only parallelism: [`spawn_or_run`] runs
+//! that work on the calling thread instead.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -126,7 +131,8 @@ impl PoolAccounting {
 /// would take on an unloaded machine with one core per worker. This is
 /// how the scaling experiment models multi-core speedup on machines with
 /// fewer cores than workers, in the same spirit as the device timing
-/// models elsewhere in the pipeline.
+/// models elsewhere in the pipeline. A region nested in an accounted
+/// group runs inline inside it, so its cost is charged once, to the group.
 pub fn start_accounting() {
     ACCOUNTED_WORK_NS.store(0, Ordering::Relaxed);
     ACCOUNTED_SPAN_NS.store(0, Ordering::Relaxed);
@@ -226,10 +232,12 @@ pub fn effective_workers() -> usize {
 /// ([`PoolHandle::current`]) and [bound](PoolHandle::bind) for the duration
 /// of each stepping scope, so every `pool::` entry point under that scope
 /// resolves to the session's own capacity regardless of what other
-/// sessions do to the global knob. A binding covers only the bound thread:
-/// regions nested inside a pool worker or the client's NPU thread read the
-/// process-wide knob. Outputs are bit-identical at any count by the
-/// determinism contract; the handle pins *scheduling*, not results.
+/// sessions do to the global knob. A binding covers only the bound thread,
+/// but every pool group binds its share of its region's workers, so a
+/// region nested in a pool worker runs at that share; only the client's
+/// NPU thread reads the process-wide knob. Outputs are bit-identical at
+/// any count by the determinism contract; the handle pins *scheduling*,
+/// not results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolHandle {
     workers: usize,
@@ -257,7 +265,8 @@ impl PoolHandle {
     /// Installs this handle as the calling thread's worker count until the
     /// returned guard drops; nested bindings stack. While bound, implicit
     /// pool entry points on this thread ignore [`set_workers`] from other
-    /// threads; threads spawned under the binding do not inherit it.
+    /// threads. A thread spawned under the binding does not inherit it; a
+    /// pool group binds its own share of its region's workers instead.
     pub fn bind(self) -> PoolBinding {
         let prev = BOUND_WORKERS.with(|w| w.replace(self.workers));
         PoolBinding { prev }
@@ -309,7 +318,9 @@ impl PoolHandle {
     /// where even a handful justify threads. Each element's computation
     /// must be self-contained for the determinism contract to carry:
     /// assignment picks only which thread runs an element, never what it
-    /// computes.
+    /// computes. An element's own pool regions run at its group's share of
+    /// the capacity, so with at least as many elements as workers they run
+    /// inline on the worker that holds the element.
     pub fn for_each_mut<T, F>(self, data: &mut [T], f: F)
     where
         T: Send,
@@ -378,13 +389,16 @@ fn spawn_boxed_or_run<'scope>(
 
 /// The one scheduler behind every entry point. Item `i` goes to group
 /// `i % parts` with `parts = min(workers, n)`; each group runs its items
-/// serially, in index order, on its own scoped thread while the caller
-/// waits (or on the caller, when the OS refuses that thread). Per the
-/// determinism contract the grouping only picks *which thread* runs an
-/// item: results travel through the items themselves (disjoint `&mut`
-/// slots or bands), so no thread is joined by hand and the merge order is
-/// the index order. One worker or at most one item runs inline; accounting
-/// mode runs the groups serially and times each one.
+/// serially, in index order, bound to its share of the workers,
+/// `workers / parts`, so a region nested in an item divides that share
+/// instead of spawning its own `workers`. The caller runs group 0 itself
+/// and each other group runs on its own scoped thread (or on the caller,
+/// when the OS refuses that thread). Per the determinism contract the
+/// grouping only picks *which thread* runs an item: results travel through
+/// the items themselves (disjoint `&mut` slots or bands), so no thread is
+/// joined by hand and the merge order is the index order. One worker or at
+/// most one item runs inline, bound to `workers`; accounting mode runs the
+/// groups serially, each bound to one worker, and times each one.
 fn run_cyclic<I, F>(items: I, workers: usize, f: F)
 where
     I: ExactSizeIterator,
@@ -392,20 +406,33 @@ where
     F: Fn(usize, I::Item) + Sync,
 {
     if workers <= 1 || items.len() <= 1 {
+        let _share = PoolHandle::with_workers(workers).bind();
         for (i, item) in items.enumerate() {
             f(i, item);
         }
         return;
     }
     let groups = cyclic_groups(items, workers);
-    if ACCOUNTING.load(Ordering::Relaxed) {
+    let accounting = ACCOUNTING.load(Ordering::Relaxed);
+    // an accounted group runs serially and is timed whole, so a region
+    // nested in it runs inline and its cost is charged once, to the group
+    let share = PoolHandle::with_workers(if accounting {
+        1
+    } else {
+        workers / groups.len()
+    });
+    let run_group = |group: Vec<(usize, I::Item)>| {
+        let _share = share.bind();
+        for (i, item) in group {
+            f(i, item);
+        }
+    };
+    if accounting {
         let (mut work, mut span) = (0u64, 0u64);
         let mut per_worker = Vec::with_capacity(groups.len());
         for group in groups {
             let t = Instant::now();
-            for (i, item) in group {
-                f(i, item);
-            }
+            run_group(group);
             let ns = t.elapsed().as_nanos() as u64;
             work += ns;
             span = span.max(ns);
@@ -414,15 +441,13 @@ where
         record_region(work, span, &per_worker);
         return;
     }
-    let f = &f;
+    let mut groups = groups.into_iter();
+    let first = groups.next().expect("two or more groups");
     std::thread::scope(|s| {
         for group in groups {
-            spawn_or_run(s, Builder::new(), move || {
-                for (i, item) in group {
-                    f(i, item);
-                }
-            });
+            spawn_or_run(s, Builder::new(), move || run_group(group));
         }
+        run_group(first);
     });
 }
 
@@ -666,6 +691,37 @@ mod tests {
         assert_ne!(thread, caller);
     }
 
+    #[test]
+    fn the_caller_runs_group_zero_and_one_thread_runs_the_rest() {
+        let caller = std::thread::current().id();
+        let ran_on = PoolHandle::with_workers(2).map_indexed(4, |_| std::thread::current().id());
+        assert_eq!((ran_on[0], ran_on[2]), (caller, caller));
+        assert_eq!(ran_on[1], ran_on[3]);
+        assert_ne!(ran_on[1], caller);
+    }
+
+    #[test]
+    fn a_group_runs_at_its_share_and_the_caller_binding_is_restored() {
+        let _caller = PoolHandle::with_workers(3).bind();
+        // a region that runs inline (one worker, or one item) is its own
+        // single group: it binds its whole count
+        for (workers, items, share) in [(2usize, 4usize, 1usize), (8, 3, 2), (1, 4, 1), (4, 1, 4)] {
+            let seen =
+                PoolHandle::with_workers(workers).map_indexed(items, |_| effective_workers());
+            assert_eq!(seen, vec![share; items], "workers={workers} items={items}");
+            assert_eq!(effective_workers(), 3);
+        }
+        // a panic in the caller's own group (index 0) or in a spawned one
+        // (index 1) unwinds through the bindings and restores the caller's
+        for bad in [0usize, 1] {
+            let caught = std::panic::catch_unwind(|| {
+                PoolHandle::with_workers(2).map_indexed(4, |i| assert_ne!(i, bad))
+            });
+            assert!(caught.is_err(), "index {bad} panics");
+            assert_eq!(effective_workers(), 3);
+        }
+    }
+
     // a panicking item on a worker thread must panic the caller, never
     // leave a hole in the output
     #[test]
@@ -673,6 +729,16 @@ mod tests {
     fn a_panicking_index_panics_the_caller() {
         PoolHandle::with_workers(4).map_indexed(16, |i| {
             assert_ne!(i, 5, "index 5 fails");
+            i
+        });
+    }
+
+    // index 0 belongs to the group the caller runs itself
+    #[test]
+    #[should_panic]
+    fn a_panicking_index_in_the_callers_group_panics_the_caller() {
+        PoolHandle::with_workers(4).map_indexed(16, |i| {
+            assert_ne!(i, 0, "index 0 fails");
             i
         });
     }

@@ -50,7 +50,7 @@ pub use sampling::{
     SamplingSummary, SamplingTraceSink, SessionExemplars, TraceBudget,
 };
 pub use sink::{Event, InstantKind, JsonlSink, Level, MemorySink, Sink, SinkHandle};
-pub use slo::{FrameHealth, Objective, SloEngine, SloEvent, SloSpec, SloStatus, SloSummary};
+pub use slo::{FrameHealth, Objective, SloEngine, SloEvent, SloStatus, SloSummary};
 pub use summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
 pub use timeseries::{
     jain_fairness, AdmissionStormDetector, Bucket, RungFlapDetector, SeriesSet, StarvationDetector,

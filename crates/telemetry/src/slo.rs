@@ -82,17 +82,6 @@ impl Objective {
         }
     }
 
-    /// Allowed bad-frame fraction.
-    fn error_budget(&self) -> f64 {
-        match *self {
-            Objective::CriticalPathUnderBudget { error_budget, .. } => error_budget,
-            Objective::EffectiveFpsAtLeast { target_fps } => (1.0 - target_fps / 60.0).max(1e-6),
-            // the frozen-run objective burns on run length, not fractions;
-            // the value only feeds the summary
-            Objective::FrozenRunAtMost { max_run } => max_run as f64,
-        }
-    }
-
     /// One-line human description for tables and reports.
     fn describe(&self) -> String {
         match *self {
@@ -115,18 +104,18 @@ impl Objective {
 
 /// One declarative objective under its name. Every objective is judged
 /// over the same [`FAST_WINDOW_FRAMES`] and [`SLOW_WINDOW_FRAMES`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct SloSpec {
+#[derive(Debug, Clone)]
+struct SloSpec {
     /// Stable kebab-case name used in reports, metrics and trace markers.
-    pub name: &'static str,
+    name: &'static str,
     /// The promise being tracked.
-    pub objective: Objective,
+    objective: Objective,
 }
 
 /// A breach-state transition emitted by [`SloEngine::observe`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SloEvent {
-    /// Objective name (matches [`SloSpec::name`]).
+    /// Objective name, as in [`SloStatus::name`].
     pub name: &'static str,
     /// `true` when entering breach, `false` when recovering.
     pub breached: bool,
@@ -199,19 +188,20 @@ struct SloState {
 
 impl SloState {
     fn burn_rates(&self) -> (f64, f64) {
-        match self.spec.objective {
+        // the fraction objectives burn their allowed bad-frame fraction;
+        // the frozen-run objective burns on run length
+        let budget = match self.spec.objective {
             Objective::FrozenRunAtMost { max_run } => {
                 let burn = self.run as f64 / max_run.max(1) as f64;
-                (burn, burn)
+                return (burn, burn);
             }
-            _ => {
-                let budget = self.spec.objective.error_budget();
-                (
-                    self.fast.bad_fraction() / budget,
-                    self.slow.bad_fraction() / budget,
-                )
-            }
-        }
+            Objective::CriticalPathUnderBudget { error_budget, .. } => error_budget,
+            Objective::EffectiveFpsAtLeast { target_fps } => (1.0 - target_fps / 60.0).max(1e-6),
+        };
+        (
+            self.fast.bad_fraction() / budget,
+            self.slow.bad_fraction() / budget,
+        )
     }
 }
 

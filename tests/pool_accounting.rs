@@ -2,7 +2,9 @@
 //! region that any other test runs while it is on lands in the same
 //! ledger, so this test lives in a binary of its own.
 
-use gss_platform::pool::{start_accounting, stop_accounting, PoolHandle};
+use std::time::Instant;
+
+use gss_platform::pool::{self, start_accounting, stop_accounting, PoolHandle};
 
 #[test]
 fn accounting_measures_work_and_span_without_changing_results() {
@@ -34,4 +36,29 @@ fn accounting_measures_work_and_span_without_changing_results() {
     assert!(acct.per_worker_ns.iter().all(|&ns| ns <= acct.span_ns));
     assert_eq!(acct.per_worker_ns.len(), 4);
     assert!(acct.imbalance() >= 1.0);
+
+    // a region nested in an accounted group runs inline, whatever the
+    // group's share of the workers (1 at 2 workers over 4 items, 4 at 8
+    // over 2) or the process-wide knob says, so its work is charged once,
+    // to the group that ran it
+    let prev = pool::workers();
+    pool::set_workers(4);
+    for (workers, items) in [(2usize, 4usize), (8, 2)] {
+        start_accounting();
+        let start = Instant::now();
+        let mut nested = vec![Vec::new(); items];
+        PoolHandle::with_workers(workers).for_each_mut(&mut nested, |i, v| {
+            *v = pool::map_indexed(16, |j| f(i * 16 + j));
+        });
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let acct = stop_accounting();
+        assert_eq!(nested.concat(), scalar[..items * 16]);
+        assert!(
+            acct.work_ns <= wall_ns,
+            "workers={workers}: work {} ns over the window's {wall_ns} ns",
+            acct.work_ns
+        );
+        assert_eq!(acct.per_worker_ns.len(), 2, "workers={workers}");
+    }
+    pool::set_workers(prev);
 }
