@@ -365,31 +365,29 @@ pub fn bigfleet_metrics(run: &bigfleet::BigfleetRun) -> Vec<BenchMetric> {
     ]
 }
 
-/// Runs the benchmarked experiments and collects the metric set.
+/// Runs `measure` and returns its result with its host time as the
+/// informational `<name>.wall_ms` metric.
+pub fn timed<T>(name: &str, measure: impl FnOnce() -> T) -> (T, BenchMetric) {
+    let t0 = std::time::Instant::now();
+    let result = measure();
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    (
+        result,
+        BenchMetric::informational(format!("{name}.wall_ms"), wall_ms),
+    )
+}
+
+/// Runs the benchmarked experiments and collects the metric set: each
+/// experiment's metrics, then its `<experiment>.wall_ms`.
 pub fn collect(options: &RunOptions) -> Baseline {
     let mut metrics = Vec::new();
-
-    let t0 = std::time::Instant::now();
-    let storm = resilience::measure(options);
-    let resilience_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (storm, wall) = timed("resilience", || resilience::measure(options));
     metrics.extend(resilience_metrics(&storm));
-    metrics.push(BenchMetric::informational(
-        "resilience.wall_ms",
-        resilience_wall_ms,
-    ));
-
-    let t0 = std::time::Instant::now();
-    let crash_sweep = recovery::measure(options);
-    let recovery_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    metrics.push(wall);
+    let (crash_sweep, wall) = timed("recovery", || recovery::measure(options));
     metrics.extend(recovery_metrics(&crash_sweep));
-    metrics.push(BenchMetric::informational(
-        "recovery.wall_ms",
-        recovery_wall_ms,
-    ));
-
-    let t0 = std::time::Instant::now();
-    let ladder = scaling::measure(options);
-    let scaling_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    metrics.push(wall);
+    let (ladder, wall) = timed("scaling", || scaling::measure(options));
     for p in &ladder {
         // the speedup/imbalance come from wall-clock chunk accounting:
         // wide bands, catching only an executor that stopped scaling
@@ -405,52 +403,22 @@ pub fn collect(options: &RunOptions) -> Baseline {
             if p.identical { 1.0 } else { 0.0 },
         ));
     }
-    metrics.push(BenchMetric::informational(
-        "scaling.wall_ms",
-        scaling_wall_ms,
-    ));
-
-    let t0 = std::time::Instant::now();
-    let sweep = consolidate::measure(options);
-    let consolidate_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    metrics.push(wall);
+    let (sweep, wall) = timed("consolidate", || consolidate::measure(options));
     metrics.extend(consolidate_metrics(&sweep));
-    metrics.push(BenchMetric::informational(
-        "consolidate.wall_ms",
-        consolidate_wall_ms,
-    ));
-
-    let t0 = std::time::Instant::now();
-    let watch_run = fleetwatch::measure(options);
-    let fleetwatch_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    metrics.push(wall);
+    let (watch_run, wall) = timed("fleetwatch", || fleetwatch::measure(options));
     metrics.extend(fleetwatch_metrics(&watch_run));
-    metrics.push(BenchMetric::informational(
-        "fleetwatch.wall_ms",
-        fleetwatch_wall_ms,
-    ));
-
-    let t0 = std::time::Instant::now();
-    let big_run = bigfleet::measure(options);
-    let bigfleet_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    metrics.push(wall);
+    let (big_run, wall) = timed("bigfleet", || bigfleet::measure(options));
     metrics.extend(bigfleet_metrics(&big_run));
-    metrics.push(BenchMetric::informational(
-        "bigfleet.wall_ms",
-        bigfleet_wall_ms,
-    ));
-
+    metrics.push(wall);
     // trend-archaeology rows for the tracing tax in both sink modes;
     // the hard < 3% overhead assertions live in the bench_gate tests
-    let t0 = std::time::Instant::now();
-    let _ = trace_overhead_ratio(1);
-    metrics.push(BenchMetric::informational(
-        "tracing.overhead_full.wall_ms",
-        t0.elapsed().as_secs_f64() * 1e3,
-    ));
-    let t0 = std::time::Instant::now();
-    let _ = trace_overhead_ratio_sampled(1);
-    metrics.push(BenchMetric::informational(
-        "tracing.overhead_sampled.wall_ms",
-        t0.elapsed().as_secs_f64() * 1e3,
-    ));
+    for (sink, sampled) in [("full", false), ("sampled", true)] {
+        let name = format!("tracing.overhead_{sink}");
+        metrics.push(timed(&name, || overhead_ratio(1, sampled)).1);
+    }
 
     Baseline {
         host: String::new(),

@@ -180,13 +180,8 @@ pub fn measure(options: &RunOptions) -> BigfleetRun {
     }
 }
 
-/// Runs the storm and prints the comparison table.
-pub fn run(options: &RunOptions) {
-    print(&measure(options));
-}
-
-/// Prints one already-measured storm (so the `figures bigfleet`
-/// subcommand can reuse the run for its artifacts).
+/// Prints one already-measured storm (`figures bigfleet` reuses the
+/// run for its artifacts and its gate).
 pub fn print(run: &BigfleetRun) {
     let r = &run.report;
     let s = &run.sampling;

@@ -15,10 +15,8 @@
 //! so the `--telemetry`/`--trace` session plumbing does not apply here.
 //! Set `GSS_FLEET_TRACE=<path>` to write the merged per-session Chrome
 //! trace of the densest sweep point instead (one Chrome process per fleet
-//! session; open in Perfetto). Set `GSS_FLEET_SAMPLE=1` as well to run
-//! the sweep behind the tail sampler (`gss_telemetry::sampling`), which
-//! shrinks that trace to anomaly + context + baseline frames without
-//! changing a byte of the reports.
+//! session; open in Perfetto). `figures bigfleet` is the tail-sampled
+//! fleet (`gss_telemetry::sampling`).
 
 use crate::{table::f, RunOptions, Table};
 use gamestreamsr::fleet::{FleetConfig, FleetReport, FleetSessionSpec, FleetSim};
@@ -90,22 +88,13 @@ pub fn fleet_config(n: usize, ticks: usize) -> FleetConfig {
     config
 }
 
-/// Runs the sweep and returns every fleet report. With
-/// `GSS_FLEET_SAMPLE` set, every point runs behind the tail sampler —
-/// the reports (and thus the gated `consolidate.*` metrics) are
-/// byte-identical either way; only the exported peak trace shrinks to
-/// the retained frames.
+/// Runs the sweep and returns every fleet report.
 pub fn measure(options: &RunOptions) -> ConsolidationSweep {
     let ticks = options.frames(360, 120);
-    let sample = std::env::var_os("GSS_FLEET_SAMPLE").is_some();
     let mut points = Vec::new();
     let mut peak_sim = None;
     for n in SWEEP {
-        let mut config = fleet_config(n, ticks);
-        if sample {
-            config = config.with_sampling(gss_telemetry::SamplingPolicy::default());
-        }
-        let mut sim = FleetSim::new(config);
+        let mut sim = FleetSim::new(fleet_config(n, ticks));
         let report = sim.run_until_idle().expect("fleet run");
         points.push(ConsolidationPoint { n, report });
         peak_sim = Some(sim);

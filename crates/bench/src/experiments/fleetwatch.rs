@@ -15,7 +15,9 @@
 //! JSON (including the `watch` rollup and downsampled series), `--trace`
 //! the merged Chrome trace with pid-0 fleet counter tracks and anomaly
 //! markers, `--prom` a fleet-labeled Prometheus snapshot, and `--check`
-//! gates the `fleetwatch.*` metrics against a committed baseline.
+//! gates the `fleetwatch.*` metrics against a committed baseline. The
+//! storm keeps every frame's trace; `figures bigfleet` is the
+//! tail-sampled storm.
 
 use crate::{table::f, RunOptions, Table};
 use gamestreamsr::fleet::{AdmissionPolicy, FleetConfig, FleetReport, FleetSessionSpec, FleetSim};
@@ -102,28 +104,8 @@ pub fn measure(options: &RunOptions) -> FleetwatchRun {
     FleetwatchRun { ticks, report, sim }
 }
 
-/// The same storm behind the tail sampler (`figures fleetwatch
-/// --sample`): the report — and with it every gated `fleetwatch.*`
-/// metric — is byte-identical to [`measure`]'s, but the exported Chrome
-/// trace carries only the retained frames plus the per-session
-/// `sampling-*` counter tracks.
-pub fn measure_sampled(
-    options: &RunOptions,
-    policy: gss_telemetry::SamplingPolicy,
-) -> FleetwatchRun {
-    let ticks = options.frames(480, 160);
-    let mut sim = FleetSim::new(storm_config(ticks).with_sampling(policy));
-    let report = sim.run_until_idle().expect("fleet run");
-    FleetwatchRun { ticks, report, sim }
-}
-
-/// Prints the fleet-watch series table and the anomaly/knee summary.
-pub fn run(options: &RunOptions) {
-    print(&measure(options));
-}
-
-/// Prints one already-measured storm (so the `figures fleetwatch`
-/// subcommand can reuse the run for its artifacts).
+/// Prints one already-measured storm (`figures fleetwatch` reuses the
+/// run for its artifacts and its gate).
 pub fn print(run: &FleetwatchRun) {
     let w = &run.report.watch;
     let mut t = Table::new(

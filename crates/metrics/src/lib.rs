@@ -1,12 +1,14 @@
 //! Quality metrics for the GameStreamSR reproduction.
 //!
-//! Three full-reference metrics, matching the paper's evaluation:
+//! The paper reports PSNR and LPIPS; this crate computes both, plus SSIM as
+//! a cross-check, all full-reference:
 //!
 //! * [`psnr`] — peak signal-to-noise ratio over the luma plane (the paper's
 //!   objective metric, Fig. 13/14a). Values ≥ 30 dB are conventionally
-//!   acceptable for video frames.
-//! * [`ssim`] / [`msssim`] — (multi-scale) structural similarity, used by
-//!   the extra ablation studies.
+//!   acceptable for video frames. [`region_weighted_psnr`] weights the
+//!   error inside the RoI more heavily.
+//! * [`ssim`] — block structural similarity, checked against PSNR and the
+//!   perceptual distance on gross quality differences.
 //! * [`perceptual_distance`] — a deterministic stand-in for LPIPS
 //!   (Fig. 14b): multi-scale gradient/structure dissimilarity in `[0, 1]`,
 //!   lower is better. The substitution is documented in `DESIGN.md`; like
@@ -28,73 +30,12 @@
 
 mod error;
 mod foveated;
-mod msssim;
 mod perceptual;
 mod psnr;
 mod ssim;
 
 pub use error::MetricError;
 pub use foveated::region_weighted_psnr;
-pub use msssim::{msssim, msssim_planes};
 pub use perceptual::{perceptual_distance, perceptual_distance_planes, PerceptualConfig};
-pub use psnr::{mse, psnr, psnr_planes, PsnrAccumulator};
+pub use psnr::{mse, psnr, psnr_planes};
 pub use ssim::{ssim, ssim_planes};
-
-/// Summary statistics over a per-frame metric series (one streaming session).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SeriesStats {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum observed value.
-    pub min: f64,
-    /// Maximum observed value.
-    pub max: f64,
-    /// Fraction of samples at or above 30.0 (the PSNR acceptability bar).
-    pub frac_at_least_30: f64,
-}
-
-impl SeriesStats {
-    /// Computes summary statistics; returns `None` for an empty series.
-    pub fn from_series(values: &[f64]) -> Option<SeriesStats> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut ok = 0usize;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-            if v >= 30.0 {
-                ok += 1;
-            }
-        }
-        Some(SeriesStats {
-            mean: sum / values.len() as f64,
-            min,
-            max,
-            frac_at_least_30: ok as f64 / values.len() as f64,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn series_stats_empty_is_none() {
-        assert!(SeriesStats::from_series(&[]).is_none());
-    }
-
-    #[test]
-    fn series_stats_basics() {
-        let s = SeriesStats::from_series(&[29.0, 31.0, 33.0, 27.0]).unwrap();
-        assert_eq!(s.min, 27.0);
-        assert_eq!(s.max, 33.0);
-        assert!((s.mean - 30.0).abs() < 1e-12);
-        assert!((s.frac_at_least_30 - 0.5).abs() < 1e-12);
-    }
-}

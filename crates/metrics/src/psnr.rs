@@ -67,74 +67,6 @@ pub fn psnr(reference: &Frame, distorted: &Frame) -> Result<f64, MetricError> {
     psnr_planes(reference.y(), distorted.y())
 }
 
-/// Incrementally accumulates squared error over many frames so a whole
-/// session's PSNR can be reported without keeping frames alive.
-///
-/// ```
-/// use gss_frame::Frame;
-/// use gss_metrics::PsnrAccumulator;
-///
-/// let mut acc = PsnrAccumulator::new();
-/// let a = Frame::filled(4, 4, [10.0, 128.0, 128.0]);
-/// let b = Frame::filled(4, 4, [12.0, 128.0, 128.0]);
-/// acc.push(&a, &b).unwrap();
-/// assert!(acc.psnr().unwrap() > 40.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PsnrAccumulator {
-    sq_err: f64,
-    samples: u64,
-    per_frame: Vec<f64>,
-}
-
-impl PsnrAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        PsnrAccumulator::default()
-    }
-
-    /// Adds one frame pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::SizeMismatch`] when the frames differ in size.
-    pub fn push(&mut self, reference: &Frame, distorted: &Frame) -> Result<(), MetricError> {
-        let m = mse(reference.y(), distorted.y())?;
-        let n = reference.pixel_count() as u64;
-        self.sq_err += m * n as f64;
-        self.samples += n;
-        self.per_frame.push(if m <= 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * ((255.0f64 * 255.0) / m).log10()
-        });
-        Ok(())
-    }
-
-    /// Session PSNR over all accumulated samples; `None` when empty.
-    pub fn psnr(&self) -> Option<f64> {
-        if self.samples == 0 {
-            return None;
-        }
-        let m = self.sq_err / self.samples as f64;
-        Some(if m <= 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * ((255.0f64 * 255.0) / m).log10()
-        })
-    }
-
-    /// Per-frame PSNR series in push order.
-    pub fn per_frame(&self) -> &[f64] {
-        &self.per_frame
-    }
-
-    /// Number of frames pushed.
-    pub fn frame_count(&self) -> usize {
-        self.per_frame.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,34 +109,5 @@ mod tests {
         let a = Frame::filled(8, 8, [90.0, 128.0, 128.0]);
         let b = Frame::filled(8, 8, [110.0, 140.0, 120.0]);
         assert_eq!(psnr(&a, &b).unwrap(), psnr(&b, &a).unwrap());
-    }
-
-    #[test]
-    fn accumulator_matches_single_frame() {
-        let a = Frame::filled(8, 8, [100.0, 128.0, 128.0]);
-        let b = Frame::filled(8, 8, [103.0, 128.0, 128.0]);
-        let mut acc = PsnrAccumulator::new();
-        acc.push(&a, &b).unwrap();
-        let single = psnr(&a, &b).unwrap();
-        assert!((acc.psnr().unwrap() - single).abs() < 1e-9);
-        assert_eq!(acc.frame_count(), 1);
-        assert!((acc.per_frame()[0] - single).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accumulator_weights_by_pixels() {
-        // frame 1: zero error; frame 2: error 2 → pooled MSE = 2
-        let a = Frame::filled(4, 4, [10.0, 128.0, 128.0]);
-        let b = Frame::filled(4, 4, [12.0, 128.0, 128.0]);
-        let mut acc = PsnrAccumulator::new();
-        acc.push(&a, &a).unwrap();
-        acc.push(&a, &b).unwrap();
-        let expected = 10.0 * ((255.0f64 * 255.0) / 2.0).log10();
-        assert!((acc.psnr().unwrap() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_accumulator_is_none() {
-        assert!(PsnrAccumulator::new().psnr().is_none());
     }
 }

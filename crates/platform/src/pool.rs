@@ -17,9 +17,10 @@
 //! drifts along the index (e.g. raster rows near the horizon) far better
 //! than contiguous blocks.
 //!
-//! The worker count is a process-wide knob: [`set_workers`] (the bench
-//! binary's `--threads` flag), the `GSS_THREADS` environment variable, or
-//! the default of `available_parallelism` capped at 8. A [`PoolHandle`]
+//! The worker count is a process-wide knob: [`set_workers`] (in code, as
+//! the scaling ladder and the identity tests do), the `GSS_THREADS`
+//! environment variable (every binary), or the default of
+//! `available_parallelism` capped at 8. A [`PoolHandle`]
 //! carries an explicit count: its methods run at that count without
 //! touching global state (the paired scalar-vs-parallel identity tests),
 //! and a session captures one at construction and [binds](PoolHandle::bind)
