@@ -413,12 +413,6 @@ pub fn collect(options: &RunOptions) -> Baseline {
     let (big_run, wall) = timed("bigfleet", || bigfleet::measure(options));
     metrics.extend(bigfleet_metrics(&big_run));
     metrics.push(wall);
-    // trend-archaeology rows for the tracing tax in both sink modes;
-    // the hard < 3% overhead assertions live in the bench_gate tests
-    for (sink, sampled) in [("full", false), ("sampled", true)] {
-        let name = format!("tracing.overhead_{sink}");
-        metrics.push(timed(&name, || overhead_ratio(1, sampled)).1);
-    }
 
     Baseline {
         host: String::new(),

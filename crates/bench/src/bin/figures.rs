@@ -45,7 +45,7 @@ use gamestreamsr::fleet::FleetWatchSummary;
 use gss_bench::{
     bench::{self, Baseline},
     experiments::{bigfleet, fleetwatch, scaling},
-    run_experiment, triage, RunOptions, ALL_EXPERIMENTS,
+    outln, run_experiment, triage, RunOptions, ALL_EXPERIMENTS,
 };
 use gss_telemetry::{prom, JsonlSink, Level, SinkHandle, TraceSink};
 use std::process::ExitCode;
@@ -138,7 +138,7 @@ fn main() -> ExitCode {
         }
     };
     if args.help {
-        println!("{}", help(command));
+        outln!("{}", help(command));
         return ExitCode::SUCCESS;
     }
     let options = RunOptions {
@@ -235,7 +235,7 @@ fn help(command: &Command) -> String {
 /// Writes one artifact and says where it went.
 fn write(path: &str, what: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, body).map_err(|e| format!("cannot write {what} {path}: {e}"))?;
-    println!("{what} written to {path}");
+    outln!("{what} written to {path}");
     Ok(())
 }
 
@@ -281,7 +281,7 @@ fn run_figures(args: &Args, mut options: RunOptions) -> Result<(), String> {
         words => words.iter().map(String::as_str).collect(),
     };
     for id in ids {
-        println!("\n################ {id} ################\n");
+        outln!("\n################ {id} ################\n");
         options.log(Level::Info, format!("experiment {id} starting"));
         if let Err(e) = run_experiment(id, &options) {
             // diagnostics flow through the telemetry sink as structured
@@ -295,11 +295,11 @@ fn run_figures(args: &Args, mut options: RunOptions) -> Result<(), String> {
         sink.flush();
     }
     if let Some(path) = telemetry_path {
-        println!("\ntelemetry trace written to {path}");
+        outln!("\ntelemetry trace written to {path}");
     }
     if let (Some(path), Some(trace)) = (trace_path, &trace) {
         write(path, "chrome trace", trace.to_chrome_json())?;
-        println!(
+        outln!(
             "{} frames; open in https://ui.perfetto.dev",
             trace.frame_count()
         );
@@ -313,7 +313,7 @@ fn run_bench(args: &Args, options: RunOptions) -> Result<(), String> {
             let mut baseline = bench::collect(&options);
             baseline.host = args.value("--host").unwrap_or("local").to_owned();
             write(path, "baseline", baseline.to_json())?;
-            println!("{} metrics recorded", baseline.metrics.len());
+            outln!("{} metrics recorded", baseline.metrics.len());
             Ok(())
         }
         (None, Some(path)) => check_baseline("benchmark", path, options.quick, &[], || {
@@ -440,7 +440,7 @@ fn check_baseline(
         metrics: measure(),
     };
     let drifts = baseline.check(&current);
-    println!("{}", bench::drift_table(&drifts));
+    outln!("{}", bench::drift_table(&drifts));
     let failures: Vec<String> = drifts
         .iter()
         .filter(|d| d.is_failure())
@@ -456,7 +456,7 @@ fn check_baseline(
         })
         .collect();
     if failures.is_empty() {
-        println!(
+        outln!(
             "{what} check passed: {} metrics within tolerance of {path}",
             drifts.len()
         );
@@ -485,7 +485,7 @@ fn run_triage(args: &Args, options: RunOptions) -> Result<(), String> {
     let json = report.to_json();
     match args.value("--out") {
         Some(path) => write(path, "triage report", json)?,
-        None => print!("{json}"),
+        None => outln!("{}", json.trim_end()),
     }
     if let Some(path) = args.value("--prom") {
         write(path, "prometheus snapshot", report.prometheus())?;
@@ -495,12 +495,12 @@ fn run_triage(args: &Args, options: RunOptions) -> Result<(), String> {
         // from the deterministic report by design
         let acct = scaling::profile(&options);
         write(path, "collapsed-stack pool profile", acct.collapsed_stack())?;
-        println!("pool imbalance {:.2}", acct.imbalance());
+        outln!("pool imbalance {:.2}", acct.imbalance());
     }
 
     let failures = report.gate_failures();
     if failures.is_empty() {
-        println!("triage gate: healthy (all SLOs intact, attribution complete, no drift)");
+        outln!("triage gate: healthy (all SLOs intact, attribution complete, no drift)");
         return Ok(());
     }
     for f in &failures {
@@ -512,7 +512,7 @@ fn run_triage(args: &Args, options: RunOptions) -> Result<(), String> {
             failures.len()
         ));
     }
-    println!(
+    outln!(
         "triage gate: {} violation(s) (informational; pass --gate to enforce)",
         failures.len()
     );

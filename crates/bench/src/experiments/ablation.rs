@@ -211,11 +211,12 @@ fn search_phase_cost(_options: &RunOptions) {
 fn eyetracking_energy() {
     let device = DeviceProfile::pixel7_pro();
     let camera_mj_per_s = device.camera_w * 1000.0;
-    println!(
+    outln!(
         "eye-tracking ablation: on-device camera eye tracking draws +{:.1} W \
          ({:.0} mJ per second of gameplay); the depth buffer is produced by \
          rendering anyway, so depth-guided RoI detection adds 0 mJ at the client\n",
-        device.camera_w, camera_mj_per_s
+        device.camera_w,
+        camera_mj_per_s
     );
 }
 

@@ -208,7 +208,7 @@ pub fn print(run: &BigfleetRun) {
         if run.report_identical { "yes" } else { "NO" }.to_owned(),
     ]);
     t.print();
-    println!(
+    outln!(
         "sampling: {} frames -> {} retained ({} anomaly, {} context, {} baseline), {} evicted, retention {}",
         s.frames,
         s.retained,
@@ -218,7 +218,7 @@ pub fn print(run: &BigfleetRun) {
         s.evicted,
         f(s.retention_ratio(), 4),
     );
-    println!(
+    outln!(
         "anomalies: {} frames, coverage {} | exemplars: {} | budget: {} / {} ({})",
         s.anomaly_frames,
         f(s.anomaly_coverage(), 3),
@@ -227,7 +227,7 @@ pub fn print(run: &BigfleetRun) {
         run.policy.budget.fleet,
         if run.budget_ok() { "ok" } else { "OVER" },
     );
-    println!(
+    outln!(
         "admission: {} admitted, {} rejected, {} abandoned | {} frames, {} misses, knee {}\n",
         r.admission.admitted,
         r.admission.rejected.len(),

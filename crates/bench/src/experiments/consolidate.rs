@@ -143,7 +143,7 @@ pub fn run(options: &RunOptions) {
     }
     t.print();
     let densest = sweep.points.last().expect("sweep is non-empty");
-    println!(
+    outln!(
         "allocator share at {} sessions: {} Mbps/session ({}x of the 18 Mbps nominal rate)\n",
         densest.n,
         f(budget / densest.n as f64, 2),
@@ -152,7 +152,7 @@ pub fn run(options: &RunOptions) {
 
     if let Ok(path) = std::env::var("GSS_FLEET_TRACE") {
         match std::fs::write(&path, sweep.peak_sim.to_chrome_json()) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "fleet chrome trace ({} sessions) written to {path} (open in https://ui.perfetto.dev)",
                 densest.n
             ),

@@ -37,7 +37,7 @@ pub fn run_a(options: &RunOptions) {
         ]);
     }
     t.print();
-    println!(
+    outln!(
         "(speedups are content-independent; the paper likewise reports no per-game variation)\n"
     );
 }
@@ -96,7 +96,7 @@ pub fn run_c(options: &RunOptions) {
         f(m_sota.total_ms(), 1),
     ]);
     t.print();
-    println!(
+    outln!(
         "ours stays under the 100 ms fast-genre MTP bar; SOTA's upscaling stage alone exceeds it\n"
     );
 }

@@ -68,7 +68,7 @@ pub fn run_breakdown(options: &RunOptions) {
         "100%".into(),
     ]);
     t.print();
-    println!(
+    outln!(
         "decode: {:.0}% of SOTA energy (software decoder) vs {:.0}% of ours (hardware decoder)\n",
         sota.energy.fraction(Stage::Decode) * 100.0,
         ours.energy.fraction(Stage::Decode) * 100.0

@@ -48,7 +48,7 @@ pub fn run(options: &RunOptions) {
         .map(|(_, v)| *v)
         .sum::<f64>()
         / gops as f64;
-    println!(
+    outln!(
         "ours minimum: {ours_min:.2} dB (consistently {} the 30 dB bar); SOTA end-of-GOP mean: {sota_end:.2} dB\n",
         if ours_min >= 30.0 { "above" } else { "BELOW" }
     );

@@ -83,7 +83,7 @@ pub fn run_perceptual(options: &RunOptions) {
         f(imp_sum / results.len() as f64, 4),
     ]);
     t.print();
-    println!(
+    outln!(
         "note: the untrained proxy metric compresses absolute distances relative to LPIPS;\n\
          the ordering (ours better on every game) and the within-GOP growth reproduce. See EXPERIMENTS.md.\n"
     );

@@ -54,7 +54,7 @@ pub fn run(options: &RunOptions) {
         ext_psnr += psnr(&p.ground_truth_hr, &e.frame).expect("psnr");
         nemo_psnr += psnr(&p.ground_truth_hr, &n.frame).expect("psnr");
     }
-    println!(
+    outln!(
         "quality over one GOP (G3): prototype {:.2} dB vs NEMO {:.2} dB (RoI-guided residual interpolation)\n",
         ext_psnr / frames as f64,
         nemo_psnr / frames as f64

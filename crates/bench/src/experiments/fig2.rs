@@ -44,7 +44,7 @@ pub fn run(options: &RunOptions) {
     t.print();
     let ref_ms = report.mean_upscale_ms(FrameType::Intra);
     let nonref_ms = report.mean_upscale_ms(FrameType::Inter);
-    println!(
+    outln!(
         "reference peaks: {:.0} ms ({}x the 16.66 ms budget); non-reference: {:.1} ms (also over budget)\n",
         ref_ms,
         (ref_ms / REALTIME_BUDGET_MS).round() as i64,

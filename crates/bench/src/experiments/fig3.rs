@@ -82,7 +82,7 @@ pub fn run_b(_options: &RunOptions) {
     }
     t.print();
     let side = s8.max_realtime_roi_side(REALTIME_BUDGET_MS);
-    println!(
+    outln!(
         "largest real-time square RoI on S8 Tab: {side}x{side} px ({:.1} ms)\n",
         s8.npu_sr_ms(side * side)
     );

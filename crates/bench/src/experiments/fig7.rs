@@ -7,7 +7,7 @@ use gss_platform::{DeviceProfile, FOVEAL_DIAMETER_INCHES};
 
 /// Prints the per-device window plan (step-0 of the session).
 pub fn run(_options: &RunOptions) {
-    println!(
+    outln!(
         "foveal visual diameter at 30 cm: {FOVEAL_DIAMETER_INCHES:.2} in (2 * 30cm * tan(3 deg))\n"
     );
     let mut t = Table::new(

@@ -33,9 +33,7 @@ pub fn run(_options: &RunOptions) {
         ]);
     }
     t.print();
-    println!(
-        "the NPU and GPU paths run concurrently; the critical path is max(NPU, GPU) + merge\n"
-    );
+    outln!("the NPU and GPU paths run concurrently; the critical path is max(NPU, GPU) + merge\n");
 }
 
 #[cfg(test)]

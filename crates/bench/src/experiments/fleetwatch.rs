@@ -12,7 +12,7 @@
 //! simulation, byte-identical at any `GSS_THREADS`.
 //!
 //! Artifacts (via `figures fleetwatch`): `--out` writes the fleet report
-//! JSON (including the `watch` rollup and downsampled series), `--trace`
+//! JSON (including the `watch` rollup and series summaries), `--trace`
 //! the merged Chrome trace with pid-0 fleet counter tracks and anomaly
 //! markers, `--prom` a fleet-labeled Prometheus snapshot, and `--check`
 //! gates the `fleetwatch.*` metrics against a committed baseline. The
@@ -128,18 +128,18 @@ pub fn print(run: &FleetwatchRun) {
         ]);
     }
     t.print();
-    println!(
+    outln!(
         "fairness: min {} mean {} | knee: {}",
         f(w.fairness_min, 3),
         f(w.fairness_mean, 3),
         w.knee_tick
             .map_or_else(|| "none".to_owned(), |t| format!("tick {t}")),
     );
-    println!(
+    outln!(
         "anomalies: {} rung flaps, {} starvation episodes (max streak {} ticks), {} admission storms",
         w.rung_flaps, w.starvation_events, w.starved_max_streak, w.admission_storms
     );
-    println!(
+    outln!(
         "admission: {} admitted, {} rejected, {} abandoned (peak queue {}, peak concurrency {})\n",
         run.report.admission.admitted,
         run.report.admission.rejected.len(),

@@ -59,7 +59,7 @@ pub fn run(options: &RunOptions) {
     t.print();
     let frozen = report.frames.iter().filter(|f| f.frozen).count();
     let dropped = report.frames.iter().filter(|f| f.dropped).count();
-    println!(
+    outln!(
         "{dropped} of {frames} frames dropped by the channel; {frozen} frames frozen; \
          decoding resumed at NACK-forced keyframes\n"
     );

@@ -170,7 +170,7 @@ pub fn run(options: &RunOptions) {
         .iter()
         .map(|run| run.report.drops_with_cause(DropCause::DecoderDown) as u64)
         .sum();
-    println!(
+    outln!(
         "decoder-down drops across the matrix: {decoder_drops}; all faults clear at frame {}\n",
         m.clearance_frame
     );

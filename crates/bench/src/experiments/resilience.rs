@@ -158,8 +158,8 @@ pub fn run(options: &RunOptions) {
             last = rec.rung;
         }
     }
-    println!("controller rung trajectory (rung@frame): {trajectory}");
-    println!(
+    outln!("controller rung trajectory (rung@frame): {trajectory}");
+    outln!(
         "ladder transitions: {} down, {} up; all faults clear at frame {clearance_frame}\n",
         controlled.telemetry.counter(Counter::LadderDowngrades),
         controlled.telemetry.counter(Counter::LadderUpgrades),

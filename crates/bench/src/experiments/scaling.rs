@@ -20,7 +20,8 @@
 
 use crate::{RunOptions, Table};
 use gamestreamsr::session::{run_session, Pipeline, SessionConfig};
-use gss_platform::{pool, DeviceProfile};
+use gss_platform::pool::{self, PoolHandle};
+use gss_platform::DeviceProfile;
 use gss_render::GameId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -54,14 +55,13 @@ fn digest(report_frames: &str, telemetry: &str) -> u64 {
     h.finish()
 }
 
-/// Runs the ladder and returns its points (used by the smoke test too).
-pub fn measure(options: &RunOptions) -> Vec<ScalingPoint> {
-    let frames = options.frames(24, 5);
-    // Quality evaluation stays ON: it drives the client's decode + SR +
-    // merge data path, which is the parallel half of the end-to-end
-    // pipeline (without it the run measures the server alone).
-    let cfg = SessionConfig {
-        frames,
+/// The ladder's session at `workers`: quality evaluation stays ON, since
+/// it drives the client's decode + SR + merge data path, which is the
+/// parallel half of the end-to-end pipeline (without it the run measures
+/// the server alone).
+fn ladder_session(options: &RunOptions, workers: usize) -> SessionConfig {
+    SessionConfig {
+        frames: options.frames(24, 5),
         gop_size: 12,
         // Quick mode keeps enough pixels per frame that the parallel
         // fraction dominates spawn/merge overhead; below ~192x108 the
@@ -72,14 +72,17 @@ pub fn measure(options: &RunOptions) -> Vec<ScalingPoint> {
             (320, 180)
         },
         telemetry: options.telemetry.clone(),
+        pool: PoolHandle::with_workers(workers),
         ..SessionConfig::new(GameId::G3, DeviceProfile::s8_tab())
-    };
+    }
+}
 
-    let prev = pool::workers();
+/// Runs the ladder and returns its points (used by the smoke test too).
+pub fn measure(options: &RunOptions) -> Vec<ScalingPoint> {
     let mut base: Option<(f64, u64)> = None; // (modeled_ms at 1 worker, digest)
     let mut points = Vec::with_capacity(WORKER_LADDER.len());
     for &w in &WORKER_LADDER {
-        pool::set_workers(w);
+        let cfg = ladder_session(options, w);
         pool::start_accounting();
         let t0 = Instant::now();
         let report = run_session(&cfg, Pipeline::GameStreamSr).expect("scaling session");
@@ -97,37 +100,23 @@ pub fn measure(options: &RunOptions) -> Vec<ScalingPoint> {
             identical: d == base_digest,
         });
     }
-    pool::set_workers(prev);
     points
 }
 
-/// Runs one quality-on session at the current worker count under pool
-/// accounting and returns the per-worker ledger — the input of the
-/// collapsed-stack flamegraph export (`figures triage --folded`). Uses
-/// the same session shape as the ladder so the profile reflects the
-/// parallel data path, not the aggregate-only storm. A 1-worker pool
-/// runs its regions inline and records nothing, so the profile
-/// temporarily widens to the ladder's headline count of 4 workers.
-pub fn profile(options: &RunOptions) -> gss_platform::pool::PoolAccounting {
-    let cfg = SessionConfig {
-        frames: options.frames(24, 5),
-        gop_size: 12,
-        lr_size: if options.quick {
-            (192, 108)
-        } else {
-            (320, 180)
-        },
-        ..SessionConfig::new(GameId::G3, DeviceProfile::s8_tab())
+/// Runs one ladder session under pool accounting and returns the
+/// per-worker ledger — the input of the collapsed-stack flamegraph export
+/// (`figures triage --folded`). The session runs at the current worker
+/// count; a 1-worker pool runs its regions inline and records nothing, so
+/// at 1 the profile widens to the ladder's headline count of 4 workers.
+pub fn profile(options: &RunOptions) -> pool::PoolAccounting {
+    let workers = match PoolHandle::current().workers() {
+        1 => 4,
+        n => n,
     };
-    let prev = pool::workers();
-    if prev <= 1 {
-        pool::set_workers(4);
-    }
+    let cfg = ladder_session(options, workers);
     pool::start_accounting();
     let _ = run_session(&cfg, Pipeline::GameStreamSr).expect("profile session");
-    let acct = pool::stop_accounting();
-    pool::set_workers(prev);
-    acct
+    pool::stop_accounting()
 }
 
 /// Prints the scaling table and the headline speedup at 4 workers.
@@ -159,7 +148,7 @@ pub fn run(options: &RunOptions) {
         .iter()
         .find(|p| p.workers == 4)
         .expect("ladder includes 4 workers");
-    println!(
+    outln!(
         "speedup at 4 workers: {:.2}x (modeled span accounting; identity {})\n",
         at4.speedup,
         if points.iter().all(|p| p.identical) {

@@ -60,7 +60,7 @@ pub fn run(options: &RunOptions) {
         f((low + 16.0) * 8.0 * 60.0 / 1e6, 1),
     ]);
     t.print();
-    println!(
+    outln!(
         "bandwidth reduction: {:.0}% (paper reports 66%)\n",
         reduction * 100.0
     );
@@ -72,7 +72,7 @@ pub fn run(options: &RunOptions) {
     let lo_bytes = low as usize * 2; // 720p deployment-scale estimate
     let hi_drop = stream_drop_rate(&LinkProfile::wifi(), 7, hi_bytes, 60.0, frames_net);
     let lo_drop = stream_drop_rate(&LinkProfile::wifi(), 7, lo_bytes, 60.0, frames_net);
-    println!(
+    outln!(
         "WiFi frame drops @60FPS: 2K stream {:.0}% vs low-res stream {:.1}% (paper's motivation: heavy drops at high resolution)\n",
         hi_drop * 100.0,
         lo_drop * 100.0

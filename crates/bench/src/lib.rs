@@ -23,6 +23,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `println!` for the harness's reports. When the reader of stdout has
+/// gone, the process exits with status 141, the status a shell gives a
+/// process that SIGPIPE ended, instead of panicking: a report cut short
+/// must not read as a pass.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!("{}\n", ::std::format_args!($($arg)*)))
+    };
+}
+
+/// Writes `args` to the locked stdout; see [`outln!`].
+///
+/// # Panics
+///
+/// Panics on a write error other than a broken pipe, as `println!` does.
+#[doc(hidden)]
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 pub mod bench;
 pub mod experiments;
 mod table;

@@ -69,7 +69,7 @@ impl Table {
 
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
-        println!("{}", self.render());
+        outln!("{}", self.render());
     }
 }
 

@@ -60,8 +60,6 @@ fn committed_ci_baseline_is_loadable_and_well_formed() {
         "sampling.retention_ratio",
         "sampling.trace_byte_ratio",
         "sampling.budget_ok",
-        "tracing.overhead_full.wall_ms",
-        "tracing.overhead_sampled.wall_ms",
     ] {
         assert!(
             b.metrics.iter().any(|m| m.name == name),

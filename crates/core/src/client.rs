@@ -9,7 +9,7 @@
 use crate::GssError;
 use gss_codec::{Decoder, EncodedFrame};
 use gss_frame::{Frame, Rect};
-use gss_platform::pool::spawn_or_run;
+use gss_platform::pool::{spawn_or_run, PoolHandle};
 use gss_sr::{InterpKernel, InterpUpscaler, ModelTier, NeuralSr, Upscaler};
 
 /// One upscaled frame produced by the client.
@@ -98,7 +98,8 @@ impl GameStreamClient {
     /// The RoI-assisted upscale on an already-decoded frame: DNN SR inside
     /// `roi`, bilinear everywhere else, merged. The two paths run on
     /// separate threads like the paper's NPU ∥ GPU split (both on the
-    /// caller when the OS refuses the NPU thread). On the bilinear-only
+    /// caller when the OS refuses the NPU thread), each at the caller's
+    /// worker count (see [`PoolHandle::current`]). On the bilinear-only
     /// floor (no model tier) the NPU path and the merge are skipped and the
     /// whole frame is GPU-interpolated.
     ///
@@ -114,9 +115,11 @@ impl GameStreamClient {
             };
         };
         let mut neural_patch = None;
+        let pool = PoolHandle::current();
         let mut hr = std::thread::scope(|s| {
             // NPU path: DNN SR of the RoI patch
             spawn_or_run(s, std::thread::Builder::new(), || {
+                let _pool = pool.bind();
                 neural_patch = Some(neural.upscale(&lr.crop(roi)));
             });
             // GPU path: bilinear of the (whole) frame; only the non-RoI

@@ -503,7 +503,7 @@ const RUNG_SERIES: [&str; LADDER.len()] = [
 
 /// Fleet series mirrored into full-resolution Chrome counter tracks
 /// (pid 0 of the merged trace); everything else lives only in the
-/// downsampled [`SeriesSet`].
+/// [`SeriesSet`] summaries.
 const FLEET_TRACKS: [&str; 7] = [
     "active-sessions",
     "fairness-jain",
@@ -516,7 +516,7 @@ const FLEET_TRACKS: [&str; 7] = [
     "sampling-retained",
 ];
 
-/// Streaming fleet-watch state: the downsampled time-series rings, the
+/// Streaming fleet-watch state: the time-series summaries, the
 /// admission-storm detector, full-resolution counter-track samples for
 /// the merged trace, anomaly tallies and the knee tick. Sampled once per
 /// tick in the serial phase, so it is bit-deterministic at any worker
@@ -578,7 +578,7 @@ impl FleetWatch {
 }
 
 /// Fleet-watch rollup carried on [`FleetReport`]: knee, fairness
-/// extremes, anomaly tallies and the downsampled series rings.
+/// extremes, anomaly tallies and the series summaries.
 #[derive(Debug, Clone)]
 pub struct FleetWatchSummary {
     /// First tick where Jain fairness fell below 0.9 or the fleet p99
@@ -598,7 +598,8 @@ pub struct FleetWatchSummary {
     pub starved_max_streak: u64,
     /// Admission-storm anomalies (flash-crowd joins).
     pub admission_storms: u64,
-    /// The downsampled fleet series (min/max/last per bucket).
+    /// The fleet series: per series its sample count, downsampling
+    /// stride, min, max and last value.
     pub series: SeriesSet,
 }
 

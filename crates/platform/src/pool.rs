@@ -18,20 +18,19 @@
 //! than contiguous blocks.
 //!
 //! The worker count is a process-wide knob: [`set_workers`] (in code, as
-//! the scaling ladder and the identity tests do), the `GSS_THREADS`
-//! environment variable (every binary), or the default of
-//! `available_parallelism` capped at 8. A [`PoolHandle`]
-//! carries an explicit count: its methods run at that count without
-//! touching global state (the paired scalar-vs-parallel identity tests),
-//! and a session captures one at construction and [binds](PoolHandle::bind)
-//! it to the stepping thread, so concurrent sessions in one process cannot
-//! clobber each other through the global knob. A region of `N` workers
+//! the identity tests do), the `GSS_THREADS` environment variable (every
+//! binary), or the default of `available_parallelism` capped at 8. A
+//! [`PoolHandle`] carries an explicit count: its methods run at that count
+//! without touching global state (the paired scalar-vs-parallel identity
+//! tests), and a session captures one at construction and
+//! [binds](PoolHandle::bind) it to the stepping thread, so concurrent
+//! sessions in one process cannot clobber each other through the global
+//! knob. A region of `N` workers
 //! splits its items into `P = min(N, items)` groups, and every group runs
 //! bound to its share of the workers, `N / P` (at least 1). A region nested
 //! in a group (a kernel of a fleet session that a pool worker steps)
 //! therefore divides that share, and one region tree never runs more
-//! threads than its `N`. Only the client's NPU thread, which no group
-//! binds, reads the process-wide knob.
+//! threads than its `N`.
 //!
 //! Threads come from `std::thread::scope` (real OS threads, structured
 //! join), so borrowed inputs flow into workers without `'static`
@@ -235,10 +234,9 @@ pub fn effective_workers() -> usize {
 /// resolves to the session's own capacity regardless of what other
 /// sessions do to the global knob. A binding covers only the bound thread,
 /// but every pool group binds its share of its region's workers, so a
-/// region nested in a pool worker runs at that share; only the client's
-/// NPU thread reads the process-wide knob. Outputs are bit-identical at
-/// any count by the determinism contract; the handle pins *scheduling*,
-/// not results.
+/// region nested in a pool worker runs at that share. Outputs are
+/// bit-identical at any count by the determinism contract; the handle pins
+/// *scheduling*, not results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolHandle {
     workers: usize,

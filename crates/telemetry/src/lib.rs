@@ -53,7 +53,7 @@ pub use sink::{Event, InstantKind, JsonlSink, Level, MemorySink, Sink, SinkHandl
 pub use slo::{FrameHealth, Objective, SloEngine, SloEvent, SloStatus, SloSummary};
 pub use summary::{CounterSummary, GaugeSummary, StageSummary, TelemetrySummary};
 pub use timeseries::{
-    jain_fairness, AdmissionStormDetector, Bucket, RungFlapDetector, SeriesSet, StarvationDetector,
+    jain_fairness, AdmissionStormDetector, RungFlapDetector, SeriesSet, StarvationDetector,
     TimeSeries,
 };
 pub use trace::{

@@ -1,23 +1,19 @@
-//! Fleet-wide streaming time series with deterministic downsampling, plus
-//! the streaming anomaly detectors built on top of them.
+//! Fleet-wide streaming time series, plus the streaming anomaly
+//! detectors built on top of them.
 //!
-//! A fleet run produces one sample per series per 60 Hz tick — far more
-//! points than a report (or a human) needs, and an unbounded buffer would
-//! make long soaks allocate proportionally to their length. [`TimeSeries`]
-//! is the fixed-capacity answer: a ring of per-tick buckets that, when
-//! full, *doubles its stride* and merges adjacent buckets in place, so a
-//! series always holds at most `capacity` buckets covering the whole run
-//! at a uniform power-of-two tick stride. Each bucket keeps deterministic
-//! `min`/`max`/`last` (and a sample count), so downsampling never invents
-//! values and the global extremes survive any number of compactions
-//! (they are additionally tracked exactly across the whole stream).
+//! A fleet run produces one sample per series per 60 Hz tick, and its
+//! reports read only a summary of each series: the sample count, the
+//! exact min, max and last value, and `stride`, the power-of-two number of
+//! ticks per bucket at which `capacity` buckets cover the whole run.
+//! [`TimeSeries`] keeps just that. The stride follows from the distinct
+//! `tick / stride` keys pushed so far: whenever there are more than
+//! `capacity` of them, the stride doubles and adjacent keys merge. A
+//! series therefore holds at most `capacity + 1` keys, reserved up front,
+//! so [`TimeSeries::push`] never allocates, however long a soak runs.
 //!
 //! Everything here is integer/float arithmetic on modeled values — no
 //! clocks, no RNG, no hashing — so two identical fleet runs produce
-//! byte-identical series JSON at any worker count. The hot path
-//! ([`TimeSeries::push`]) allocates only when the bucket ring grows toward
-//! its fixed capacity (at most `capacity + 1` slots, reserved up front)
-//! and never during steady-state compaction, which merges in place.
+//! byte-identical series JSON at any worker count.
 //!
 //! The streaming detectors ([`RungFlapDetector`], [`StarvationDetector`],
 //! [`AdmissionStormDetector`]) are small deterministic state machines over
@@ -33,76 +29,36 @@ use crate::json::{json_escape, json_f64};
 /// Default bucket capacity used by the fleet's series set.
 pub const DEFAULT_CAPACITY: usize = 240;
 
-/// One downsampled bucket: the deterministic summary of every sample whose
-/// tick falls in `[start_tick, start_tick + stride)` for the owning
-/// series' current stride.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucket {
-    /// First tick the bucket covers (always stride-aligned).
-    pub start_tick: u64,
-    /// Samples folded into the bucket.
-    pub count: u64,
-    /// Smallest sample in the bucket.
-    pub min: f64,
-    /// Largest sample in the bucket.
-    pub max: f64,
-    /// Most recent sample in the bucket.
-    pub last: f64,
-}
-
-impl Bucket {
-    fn seed(start_tick: u64, value: f64) -> Self {
-        Bucket {
-            start_tick,
-            count: 1,
-            min: value,
-            max: value,
-            last: value,
-        }
-    }
-
-    fn fold(&mut self, value: f64) {
-        self.count += 1;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.last = value;
-    }
-
-    fn merge(&mut self, other: &Bucket) {
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.last = other.last;
-    }
-}
-
-/// A fixed-capacity streaming series of per-tick samples with
-/// min/max/last downsampling (see the module docs for the compaction
-/// scheme). Ticks must be pushed in non-decreasing order.
+/// A streaming series of per-tick samples, summarized by count, min, max,
+/// last value and the downsampling stride of `capacity` buckets (see the
+/// module docs). Ticks must be pushed in non-decreasing order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     capacity: usize,
     stride: u64,
-    buckets: Vec<Bucket>,
+    /// Distinct `tick / stride` keys, oldest first.
+    keys: Vec<u64>,
     samples: u64,
-    global_min: f64,
-    global_max: f64,
+    min: f64,
+    max: f64,
+    last: Option<f64>,
 }
 
 impl TimeSeries {
-    /// An empty series holding at most `capacity` buckets (floored at 1).
+    /// An empty series of at most `capacity` buckets (floored at 1).
     pub fn new(name: impl Into<String>, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TimeSeries {
             name: name.into(),
             capacity,
             stride: 1,
-            // one slot of slack: push appends first, then compacts
-            buckets: Vec::with_capacity(capacity + 1),
+            // one slot of slack: push appends first, then merges
+            keys: Vec::with_capacity(capacity + 1),
             samples: 0,
-            global_min: f64::INFINITY,
-            global_max: f64::NEG_INFINITY,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            last: None,
         }
     }
 
@@ -111,74 +67,50 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Current downsampling stride, in ticks (a power of two).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
     /// Total samples pushed over the series' lifetime.
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// The downsampled buckets, oldest first.
-    pub fn buckets(&self) -> &[Bucket] {
-        &self.buckets
-    }
-
-    /// Exact minimum over every sample ever pushed (not just surviving
-    /// bucket minima), or `None` for an empty series.
+    /// Exact minimum over every sample ever pushed, or `None` for an
+    /// empty series.
     pub fn min(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.global_min)
+        (self.samples > 0).then_some(self.min)
     }
 
     /// Exact maximum over every sample ever pushed.
     pub fn max(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.global_max)
+        (self.samples > 0).then_some(self.max)
     }
 
     /// The most recent sample.
     pub fn last(&self) -> Option<f64> {
-        self.buckets.last().map(|b| b.last)
+        self.last
     }
 
     /// Pushes one sample. `tick` must be `>=` every previously pushed
-    /// tick; an out-of-order tick folds into the newest bucket (keeping
+    /// tick; an out-of-order tick counts toward the newest bucket (keeping
     /// the structure deterministic rather than panicking mid-run).
     pub fn push(&mut self, tick: u64, value: f64) {
         self.samples += 1;
-        self.global_min = self.global_min.min(value);
-        self.global_max = self.global_max.max(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.last = Some(value);
         let key = tick / self.stride;
-        match self.buckets.last_mut() {
-            Some(last) if last.start_tick / self.stride >= key => last.fold(value),
-            _ => {
-                self.buckets.push(Bucket::seed(key * self.stride, value));
-                while self.buckets.len() > self.capacity {
-                    self.compact();
-                }
+        if self.keys.last().is_some_and(|&newest| newest >= key) {
+            return;
+        }
+        self.keys.push(key);
+        while self.keys.len() > self.capacity {
+            self.stride *= 2;
+            for k in &mut self.keys {
+                *k /= 2;
             }
+            self.keys.dedup();
         }
     }
 
-    /// Doubles the stride and merges adjacent buckets in place.
-    fn compact(&mut self) {
-        self.stride *= 2;
-        let mut write = 0;
-        for read in 0..self.buckets.len() {
-            let mut b = self.buckets[read];
-            b.start_tick = (b.start_tick / self.stride) * self.stride;
-            if write > 0 && self.buckets[write - 1].start_tick == b.start_tick {
-                self.buckets[write - 1].merge(&b);
-            } else {
-                self.buckets[write] = b;
-                write += 1;
-            }
-        }
-        self.buckets.truncate(write);
-    }
-
-    /// Deterministic one-line JSON of the summary statistics only.
+    /// Deterministic one-line JSON of the summary statistics.
     pub fn summary_json(&self) -> String {
         format!(
             "{{\"name\":\"{}\",\"samples\":{},\"stride\":{},\"min\":{},\"max\":{},\"last\":{}}}",
@@ -189,36 +121,6 @@ impl TimeSeries {
             json_f64(self.max().unwrap_or(f64::NAN)),
             json_f64(self.last().unwrap_or(f64::NAN)),
         )
-    }
-
-    /// Deterministic one-line JSON including every surviving bucket.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"samples\":{},\"stride\":{},\"min\":{},\"max\":{},\"last\":{},\"buckets\":[",
-            json_escape(&self.name),
-            self.samples,
-            self.stride,
-            json_f64(self.min().unwrap_or(f64::NAN)),
-            json_f64(self.max().unwrap_or(f64::NAN)),
-            json_f64(self.last().unwrap_or(f64::NAN)),
-        );
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tick\":{},\"count\":{},\"min\":{},\"max\":{},\"last\":{}}}",
-                b.start_tick,
-                b.count,
-                json_f64(b.min),
-                json_f64(b.max),
-                json_f64(b.last)
-            );
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -233,7 +135,7 @@ pub struct SeriesSet {
 }
 
 impl SeriesSet {
-    /// An empty set whose series each hold `capacity` buckets.
+    /// An empty set whose series each have `capacity` buckets.
     pub fn new(capacity: usize) -> Self {
         SeriesSet {
             capacity: capacity.max(1),
@@ -281,19 +183,6 @@ impl SeriesSet {
                 out.push(',');
             }
             out.push_str(&s.summary_json());
-        }
-        out.push(']');
-        out
-    }
-
-    /// Deterministic one-line JSON array including every bucket.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
         }
         out.push(']');
         out
@@ -490,17 +379,183 @@ pub fn jain_fairness(shares: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// One bucket of [`RingSeries`]: every sample whose tick falls in
+    /// `[start_tick, start_tick + stride)`.
+    #[derive(Debug, Clone, Copy)]
+    struct Bucket {
+        start_tick: u64,
+        count: u64,
+        min: f64,
+        max: f64,
+        last: f64,
+    }
+
+    impl Bucket {
+        fn seed(start_tick: u64, value: f64) -> Self {
+            Bucket {
+                start_tick,
+                count: 1,
+                min: value,
+                max: value,
+                last: value,
+            }
+        }
+
+        fn fold(&mut self, value: f64) {
+            self.count += 1;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+            self.last = value;
+        }
+
+        fn merge(&mut self, other: &Bucket) {
+            self.count += other.count;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            self.last = other.last;
+        }
+    }
+
+    /// The bucket ring that [`TimeSeries`] replaced, kept as the reference
+    /// its summaries must match: when more than `capacity` buckets exist,
+    /// it doubles the stride and merges adjacent buckets in place.
+    struct RingSeries {
+        name: String,
+        capacity: usize,
+        stride: u64,
+        buckets: Vec<Bucket>,
+        samples: u64,
+        global_min: f64,
+        global_max: f64,
+    }
+
+    impl RingSeries {
+        fn new(name: &str, capacity: usize) -> Self {
+            RingSeries {
+                name: name.to_owned(),
+                capacity: capacity.max(1),
+                stride: 1,
+                buckets: Vec::new(),
+                samples: 0,
+                global_min: f64::INFINITY,
+                global_max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn last(&self) -> Option<f64> {
+            self.buckets.last().map(|b| b.last)
+        }
+
+        fn push(&mut self, tick: u64, value: f64) {
+            self.samples += 1;
+            self.global_min = self.global_min.min(value);
+            self.global_max = self.global_max.max(value);
+            let key = tick / self.stride;
+            match self.buckets.last_mut() {
+                Some(last) if last.start_tick / self.stride >= key => last.fold(value),
+                _ => {
+                    self.buckets.push(Bucket::seed(key * self.stride, value));
+                    while self.buckets.len() > self.capacity {
+                        self.compact();
+                    }
+                }
+            }
+        }
+
+        fn compact(&mut self) {
+            self.stride *= 2;
+            let mut write = 0;
+            for read in 0..self.buckets.len() {
+                let mut b = self.buckets[read];
+                b.start_tick = (b.start_tick / self.stride) * self.stride;
+                if write > 0 && self.buckets[write - 1].start_tick == b.start_tick {
+                    self.buckets[write - 1].merge(&b);
+                } else {
+                    self.buckets[write] = b;
+                    write += 1;
+                }
+            }
+            self.buckets.truncate(write);
+        }
+
+        fn summary_json(&self) -> String {
+            let live = self.samples > 0;
+            format!(
+                "{{\"name\":\"{}\",\"samples\":{},\"stride\":{},\"min\":{},\"max\":{},\"last\":{}}}",
+                json_escape(&self.name),
+                self.samples,
+                self.stride,
+                json_f64(if live { self.global_min } else { f64::NAN }),
+                json_f64(if live { self.global_max } else { f64::NAN }),
+                json_f64(self.last().unwrap_or(f64::NAN)),
+            )
+        }
+    }
+
+    /// splitmix64: a seeded stream for the differential test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn summaries_match_the_bucket_ring() {
+        let mut streams = 0;
+        for capacity in (1..=12).chain([240]) {
+            for seed in 0..150u64 {
+                let mut rng = seed * 1000 + capacity as u64;
+                let len = next(&mut rng) % 700;
+                let out_of_order_at = next(&mut rng) % (len + 1);
+                let mut ours = TimeSeries::new("s", capacity);
+                let mut ring = RingSeries::new("s", capacity);
+                let mut tick = next(&mut rng) % 50;
+                for i in 0..len {
+                    // repeats, short steps and gaps of a few hundred ticks
+                    tick += match next(&mut rng) % 8 {
+                        0 | 1 => 0,
+                        2 => 50 + next(&mut rng) % 300,
+                        _ => 1 + next(&mut rng) % 3,
+                    };
+                    // one tick from the past, then the stream resumes
+                    let t = if i == out_of_order_at {
+                        tick.saturating_sub(1 + next(&mut rng) % 400)
+                    } else {
+                        tick
+                    };
+                    let value = (next(&mut rng) % 20_001) as f64 / 100.0 - 100.0;
+                    ours.push(t, value);
+                    ring.push(t, value);
+                }
+                let context = format!("capacity {capacity} seed {seed}");
+                assert_eq!(ours.samples(), ring.samples, "{context}");
+                assert_eq!(ours.stride, ring.stride, "{context}");
+                assert_eq!(ours.keys.len(), ring.buckets.len(), "{context}");
+                let counted: u64 = ring.buckets.iter().map(|b| b.count).sum();
+                assert_eq!(counted, ring.samples, "{context}");
+                assert_eq!(ours.summary_json(), ring.summary_json(), "{context}");
+                assert_eq!(ours.last(), ring.last(), "{context}");
+                if len > 0 {
+                    assert_eq!(ours.min(), Some(ring.global_min), "{context}");
+                    assert_eq!(ours.max(), Some(ring.global_max), "{context}");
+                }
+                streams += 1;
+            }
+        }
+        assert_eq!(streams, 13 * 150);
+    }
+
     #[test]
     fn single_bucket_is_exact() {
         let mut s = TimeSeries::new("x", 16);
         s.push(3, 5.0);
         s.push(3, 2.0);
         s.push(3, 9.0);
-        assert_eq!(s.stride(), 1);
-        assert_eq!(s.buckets().len(), 1);
-        let b = s.buckets()[0];
-        assert_eq!((b.start_tick, b.count), (3, 3));
-        assert_eq!((b.min, b.max, b.last), (2.0, 9.0, 9.0));
+        assert_eq!(s.stride, 1);
+        assert_eq!(s.keys, [3]);
+        assert_eq!(s.samples(), 3);
         assert_eq!(
             (s.min(), s.max(), s.last()),
             (Some(2.0), Some(9.0), Some(9.0))
@@ -513,14 +568,14 @@ mod tests {
         for tick in 0..100u64 {
             s.push(tick, tick as f64);
         }
-        assert_eq!(s.buckets().len(), 1, "capacity-1 ring must stay at 1");
-        assert!(s.stride().is_power_of_two());
-        assert!(s.stride() >= 100, "stride must cover every pushed tick");
-        let b = s.buckets()[0];
-        assert_eq!(b.start_tick, 0);
-        assert_eq!(b.count, 100);
-        assert_eq!((b.min, b.max, b.last), (0.0, 99.0, 99.0));
+        assert_eq!(s.keys, [0], "capacity 1 must stay at one bucket");
+        assert!(s.stride.is_power_of_two());
+        assert!(s.stride >= 100, "stride must cover every pushed tick");
         assert_eq!(s.samples(), 100);
+        assert_eq!(
+            (s.min(), s.max(), s.last()),
+            (Some(0.0), Some(99.0), Some(99.0))
+        );
     }
 
     #[test]
@@ -528,7 +583,7 @@ mod tests {
         let mut s = TimeSeries::new("z", 0);
         s.push(0, 1.0);
         s.push(1, 2.0);
-        assert_eq!(s.buckets().len(), 1);
+        assert_eq!((s.keys.len(), s.stride), (1, 2));
     }
 
     #[test]
@@ -539,19 +594,15 @@ mod tests {
         s.push(0, 10.0);
         s.push(1, 20.0);
         s.push(2, 30.0);
-        assert_eq!(s.stride(), 2);
-        assert_eq!(s.buckets().len(), 2);
-        let (a, b) = (s.buckets()[0], s.buckets()[1]);
-        assert_eq!(
-            (a.start_tick, a.count, a.min, a.max, a.last),
-            (0, 2, 10.0, 20.0, 20.0)
-        );
-        assert_eq!((b.start_tick, b.count, b.last), (2, 1, 30.0));
-        // tick 3 folds into the stride-2 bucket that starts at 2
+        assert_eq!(s.stride, 2);
+        assert_eq!(s.keys, [0, 1]);
+        // tick 3 falls in the stride-2 bucket that starts at 2
         s.push(3, 5.0);
-        assert_eq!(s.buckets().len(), 2);
-        let b = s.buckets()[1];
-        assert_eq!((b.start_tick, b.count, b.min, b.last), (2, 2, 5.0, 5.0));
+        assert_eq!((s.stride, s.keys.as_slice()), (2, &[0, 1][..]));
+        assert_eq!(
+            (s.samples(), s.min(), s.max(), s.last()),
+            (4, Some(5.0), Some(30.0), Some(5.0))
+        );
     }
 
     #[test]
@@ -564,12 +615,9 @@ mod tests {
         }
         assert_eq!(s.max(), Some(1e6));
         assert_eq!(s.min(), Some(0.0));
-        assert!(s.buckets().len() <= 4);
-        assert!(s.buckets().iter().any(|b| b.max == 1e6));
-        assert_eq!(
-            s.buckets().iter().map(|b| b.count).sum::<u64>(),
-            s.samples()
-        );
+        assert!(s.keys.len() <= 4);
+        assert_eq!(s.stride, 256, "4 buckets of 256 ticks cover 1000");
+        assert_eq!(s.samples(), 1000);
     }
 
     #[test]
@@ -579,7 +627,7 @@ mod tests {
             for tick in 0..500u64 {
                 s.push(tick, ((tick * 37) % 101) as f64);
             }
-            s.to_json()
+            s.summary_json()
         };
         assert_eq!(run(), run());
     }
@@ -594,7 +642,6 @@ mod tests {
         let names: Vec<&str> = set.iter().map(TimeSeries::name).collect();
         assert_eq!(names, ["b", "a"], "insertion order, not sorted");
         assert_eq!(set.get("b").unwrap().samples(), 2);
-        assert!(crate::json::parse(&set.to_json()).is_ok());
         assert!(crate::json::parse(&set.summary_json()).is_ok());
     }
 
