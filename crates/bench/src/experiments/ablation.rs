@@ -9,6 +9,8 @@ use gamestreamsr::{GameStreamClient, GameStreamServer, RoiDetectorConfig, Server
 use gss_metrics::psnr;
 use gss_platform::{DeviceProfile, REALTIME_BUDGET_MS};
 use gss_render::{GameId, GameWorkload};
+use gss_sr::edsr::EdsrConfig;
+use gss_sr::fsrcnn::FsrcnnConfig;
 
 /// Runs all ablations.
 pub fn run(options: &RunOptions) {
@@ -19,31 +21,35 @@ pub fn run(options: &RunOptions) {
     eyetracking_energy();
 }
 
-/// Model-agnostic calibration (§IV-B1): benchmarking a cheaper SR model at
-/// step-0 buys a larger real-time RoI window on the same NPU.
-fn model_choice(_options: &RunOptions) {
-    use gss_sr::edsr::{Edsr, EdsrConfig};
-    use gss_sr::fsrcnn::{Fsrcnn, FsrcnnConfig};
-    let reference = Edsr::new(EdsrConfig::default()).macs_for_input(300, 300) as f64;
-    let models: [(&str, u64); 3] = [
+/// The model-choice rows: each architecture and its MACs for a 300×300
+/// input.
+fn model_macs() -> [(&'static str, u64); 3] {
+    [
         (
             "EDSR-16/64 (paper)",
-            Edsr::new(EdsrConfig::default()).macs_for_input(300, 300),
+            EdsrConfig::default().macs_for_input(300, 300),
         ),
         (
             "EDSR-8/32",
-            Edsr::new(EdsrConfig {
+            EdsrConfig {
                 channels: 32,
                 blocks: 8,
                 scale: 2,
-            })
+            }
             .macs_for_input(300, 300),
         ),
         (
             "FSRCNN-56/12/4",
-            Fsrcnn::new(FsrcnnConfig::default()).macs_for_input(300, 300),
+            FsrcnnConfig::default().macs_for_input(300, 300),
         ),
-    ];
+    ]
+}
+
+/// Model-agnostic calibration (§IV-B1): benchmarking a cheaper SR model at
+/// step-0 buys a larger real-time RoI window on the same NPU.
+fn model_choice(_options: &RunOptions) {
+    let models = model_macs();
+    let reference = models[0].1 as f64;
     let device = DeviceProfile::s8_tab();
     let mut t = Table::new(
         "Ablation: SR model choice vs real-time RoI window (S8 Tab)",
@@ -223,6 +229,18 @@ fn eyetracking_energy() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_choice_rows_are_the_architectures_mac_counts() {
+        assert_eq!(
+            model_macs(),
+            [
+                ("EDSR-16/64 (paper)", 123_534_720_000),
+                ("EDSR-8/32", 17_807_040_000),
+                ("FSRCNN-56/12/4", 1_509_840_000),
+            ]
+        );
+    }
 
     #[test]
     fn quick_run_completes() {

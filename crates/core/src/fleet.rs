@@ -237,8 +237,8 @@ impl FleetConfig {
 
     /// Checks what the fleet needs before its first tick: a finite,
     /// non-negative `uplink_utilization` and `session_rate_mbps` (zero
-    /// streams at the rate floor), and every session's canvas and GOP (see
-    /// [`SessionConfig::validate`]).
+    /// streams at the rate floor), and every session's canvas, GOP and
+    /// link (see [`SessionConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -1483,6 +1483,16 @@ mod tests {
             matches!(err, GssError::InvalidConfig { field, .. } if field == expected),
             "expected {expected} to be refused, got: {err}"
         );
+    }
+
+    #[test]
+    fn a_zero_coherence_fleet_link_is_refused() {
+        for coherence_ms in [0.0, -200.0, f64::NAN] {
+            assert_invalid(
+                refusal(|c| c.link.coherence_ms = coherence_ms),
+                "link.coherence_ms",
+            );
+        }
     }
 
     #[test]

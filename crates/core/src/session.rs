@@ -186,7 +186,8 @@ impl SessionConfig {
     }
 
     /// Checks what [`run_session`] needs before it streams a frame: a
-    /// nonzero GOP and scale, an even, nonempty canvas, and a canvas large
+    /// nonzero GOP and scale, an even, nonempty canvas, a link whose
+    /// bandwidth coherence interval is above zero, and a canvas large
     /// enough for the device's planned RoI window.
     ///
     /// # Errors
@@ -204,6 +205,10 @@ impl SessionConfig {
         let (w, h) = self.lr_size;
         if w == 0 || h == 0 || w % 2 != 0 || h % 2 != 0 {
             return invalid("lr_size", "must be even and nonzero");
+        }
+        let coherence_ms = self.link.coherence_ms;
+        if coherence_ms.is_nan() || coherence_ms <= 0.0 {
+            return invalid("link.coherence_ms", "must be greater than zero");
         }
         let plan = plan_roi_window(&self.device, self.scale, FULL_LR.width(), FULL_LR.height());
         let window = plan.scaled_to_canvas(w, FULL_LR.width());
@@ -1003,6 +1008,15 @@ mod tests {
             ..tiny_config()
         };
         assert_eq!(refused_field(cfg), "gop_size");
+    }
+
+    #[test]
+    fn a_zero_coherence_link_is_refused() {
+        for coherence_ms in [0.0, -200.0, f64::NAN] {
+            let mut cfg = tiny_config();
+            cfg.link.coherence_ms = coherence_ms;
+            assert_eq!(refused_field(cfg), "link.coherence_ms");
+        }
     }
 
     #[test]

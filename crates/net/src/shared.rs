@@ -169,6 +169,11 @@ impl SharedLink {
     }
 
     fn advance_to(&mut self, now_ms: f64) {
+        // at zero or below, the re-roll schedule never passes the clock
+        assert!(
+            self.profile.coherence_ms > 0.0,
+            "link.coherence_ms must be greater than zero"
+        );
         let now_ms = now_ms.max(self.clock_ms);
         let mut t = self.clock_ms;
         while t < now_ms {
@@ -191,6 +196,12 @@ impl SharedLink {
     /// Sends a frame of `bytes` on `flow` at `send_time_ms`. Send times
     /// must be non-decreasing across calls (across *all* flows — the
     /// bottleneck has one clock).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the profile's `coherence_ms` is not greater than zero
+    /// (zero, negative or NaN). At zero or below, the bandwidth would
+    /// re-roll forever without the clock moving.
     pub fn send(&mut self, flow: usize, bytes: usize, send_time_ms: f64) -> Transfer {
         self.advance_to(send_time_ms);
         let stats = &mut self.flows[flow].stats;
@@ -273,6 +284,17 @@ mod tests {
             let tb = b.send(0, 10_000, i as f64 * 16.66);
             assert_eq!(ta, tb);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "coherence_ms must be greater than zero")]
+    fn a_zero_coherence_link_panics_instead_of_spinning() {
+        let profile = LinkProfile {
+            coherence_ms: 0.0,
+            ..LinkProfile::wifi()
+        };
+        let mut link = one_flow(profile, 7, FaultPlan::default());
+        link.send(0, 1000, 16.6);
     }
 
     #[test]

@@ -1,28 +1,18 @@
-//! A from-scratch forward pass of the EDSR architecture (Lim et al.,
-//! CVPRW'17), the SR model the paper deploys on the client NPU
-//! (16 residual blocks, 64 channels, ×2 pixel-shuffle upsampling).
+//! The EDSR architecture (Lim et al., CVPRW'17), the SR model the paper
+//! deploys on the client NPU (16 residual blocks, 64 channels, ×2
+//! pixel-shuffle upsampling), kept as its layer shapes.
 //!
-//! Weights are deterministic He initializations — training is out of scope
-//! for this reproduction (see `DESIGN.md`), so this module provides the
-//! *computational* ground truth: layer shapes, multiply-accumulate counts
-//! (which calibrate the platform model's NPU latency scaling), and a real
-//! dataflow for the benchmarks. Quality measurements use
-//! [`crate::NeuralSr`].
+//! No network runs in this reproduction (see `DESIGN.md` §2): the platform
+//! model scales NPU latency by the model's multiply-accumulate count, and
+//! quality measurements use [`crate::NeuralSr`]. So the hyper-parameters
+//! and the MAC count they imply are what this module provides.
 //!
 //! ```
-//! use gss_sr::edsr::{Edsr, EdsrConfig};
-//! use gss_frame::Frame;
+//! use gss_sr::edsr::EdsrConfig;
 //!
-//! let model = Edsr::new(EdsrConfig { channels: 8, blocks: 2, scale: 2 });
-//! let lr = Frame::filled(8, 8, [100.0, 128.0, 128.0]);
-//! let hr = model.forward(&lr);
-//! assert_eq!(hr.size(), (16, 16));
+//! let paper = EdsrConfig::default();
+//! assert_eq!(paper.macs_for_input(300, 300), 123_534_720_000);
 //! ```
-
-use crate::nn::{add_scaled, pixel_shuffle, relu, Conv2d, Tensor};
-use gss_frame::Frame;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Architecture hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,90 +35,23 @@ impl Default for EdsrConfig {
     }
 }
 
-/// The EDSR super-resolution network.
-#[derive(Debug, Clone)]
-pub struct Edsr {
-    config: EdsrConfig,
-    head: Conv2d,
-    body: Vec<(Conv2d, Conv2d)>,
-    body_tail: Conv2d,
-    upsample: Conv2d,
-    tail: Conv2d,
-}
-
-impl Edsr {
-    /// Builds the network with deterministic He-initialized weights.
+impl EdsrConfig {
+    /// Total multiply-accumulate count for a `width x height` input — the
+    /// quantity the platform model scales NPU latency by.
     ///
-    /// # Panics
-    ///
-    /// Panics when any config field is zero.
-    pub fn new(config: EdsrConfig) -> Self {
-        assert!(
-            config.channels > 0 && config.blocks > 0 && config.scale > 0,
-            "config fields must be nonzero"
-        );
-        let mut rng = SmallRng::seed_from_u64(0x5eed_ed5a);
-        let c = config.channels;
-        let head = Conv2d::init(3, c, 3, &mut rng);
-        let body = (0..config.blocks)
-            .map(|_| {
-                (
-                    Conv2d::init(c, c, 3, &mut rng),
-                    Conv2d::init(c, c, 3, &mut rng),
-                )
-            })
-            .collect();
-        let body_tail = Conv2d::init(c, c, 3, &mut rng);
-        let upsample = Conv2d::init(c, c * config.scale * config.scale, 3, &mut rng);
-        let tail = Conv2d::init(c, 3, 3, &mut rng);
-        Edsr {
-            config,
-            head,
-            body,
-            body_tail,
-            upsample,
-            tail,
-        }
-    }
-
-    /// The architecture hyper-parameters.
-    pub fn config(&self) -> EdsrConfig {
-        self.config
-    }
-
-    /// Full forward pass: frame in, `scale`-times-larger frame out.
-    pub fn forward(&self, frame: &Frame) -> Frame {
-        let input = Tensor::from_frame(frame);
-        let shallow = self.head.forward(&input);
-        let mut features = shallow.clone();
-        for (conv_a, conv_b) in &self.body {
-            let mut t = conv_a.forward(&features);
-            relu(&mut t);
-            let t = conv_b.forward(&t);
-            // EDSR residual scaling of 0.1 keeps untrained activations tame
-            add_scaled(&mut features, &t, 0.1);
-        }
-        let mut deep = self.body_tail.forward(&features);
-        add_scaled(&mut deep, &shallow, 1.0);
-        let pre_shuffle = self.upsample.forward(&deep);
-        let shuffled = pixel_shuffle(&pre_shuffle, self.config.scale);
-        let out = self.tail.forward(&shuffled);
-        out.to_frame()
-    }
-
-    /// Total multiply-accumulate count for an `h x w` input — the quantity
-    /// the platform model scales NPU latency by.
+    /// Every layer is a 3×3 convolution. At the input resolution: the head
+    /// (3 → c), two per residual block (c → c), the body tail (c → c) and
+    /// the upsampling conv (c → c·s², before the pixel shuffle); at the
+    /// output resolution, the tail (c → 3).
     pub fn macs_for_input(&self, width: usize, height: usize) -> u64 {
-        let (h, w) = (height, width);
-        let s = self.config.scale;
-        let mut total = self.head.macs(h, w);
-        for (a, b) in &self.body {
-            total += a.macs(h, w) + b.macs(h, w);
-        }
-        total += self.body_tail.macs(h, w);
-        total += self.upsample.macs(h, w);
-        total += self.tail.macs(h * s, w * s);
-        total
+        let c = self.channels as u64;
+        let s2 = (self.scale * self.scale) as u64;
+        let per_pixel = 3 * c * 9
+            + self.blocks as u64 * 2 * c * c * 9
+            + c * c * 9
+            + c * c * s2 * 9
+            + 3 * c * 9 * s2;
+        per_pixel * (width * height) as u64
     }
 }
 
@@ -136,44 +59,21 @@ impl Edsr {
 mod tests {
     use super::*;
 
-    fn tiny() -> Edsr {
-        Edsr::new(EdsrConfig {
+    #[test]
+    fn macs_scale_linearly_with_pixels() {
+        let m = EdsrConfig {
             channels: 4,
             blocks: 2,
             scale: 2,
-        })
-    }
-
-    #[test]
-    fn forward_shape_is_scaled() {
-        let m = tiny();
-        let f = Frame::filled(6, 5, [90.0, 128.0, 128.0]);
-        let hr = m.forward(&f);
-        assert_eq!(hr.size(), (12, 10));
-    }
-
-    #[test]
-    fn forward_is_deterministic() {
-        let m1 = tiny();
-        let m2 = tiny();
-        let f = Frame::filled(4, 4, [10.0, 120.0, 130.0]);
-        assert_eq!(m1.forward(&f), m2.forward(&f));
-    }
-
-    #[test]
-    fn macs_scale_linearly_with_pixels() {
-        let m = tiny();
-        let a = m.macs_for_input(10, 10);
-        let b = m.macs_for_input(20, 20);
-        assert_eq!(b, a * 4);
+        };
+        assert_eq!(m.macs_for_input(20, 20), m.macs_for_input(10, 10) * 4);
     }
 
     #[test]
     fn paper_scale_model_macs_are_heavy() {
         // EDSR-16/64 at 720p should be on the order of 10^11 MACs —
         // the reason full-frame NPU SR misses 16.66 ms (Fig. 2/3).
-        let m = Edsr::new(EdsrConfig::default());
-        let macs = m.macs_for_input(1280, 720);
+        let macs = EdsrConfig::default().macs_for_input(1280, 720);
         assert!(macs > 50_000_000_000, "macs = {macs}");
     }
 }

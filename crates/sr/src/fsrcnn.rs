@@ -1,6 +1,5 @@
-//! A from-scratch forward pass of FSRCNN (Dong et al., ECCV'16), a
-//! lightweight SR architecture roughly an order of magnitude cheaper than
-//! EDSR-16/64.
+//! FSRCNN (Dong et al., ECCV'16), a lightweight SR architecture roughly an
+//! order of magnitude cheaper than EDSR-16/64, kept as its layer shapes.
 //!
 //! The paper's design is model-agnostic: the client benchmarks "the
 //! DNN-based SR model of the user's choice" at session start (step-0) and
@@ -11,21 +10,13 @@
 //!
 //! Structure: 5×5 feature extraction → 1×1 shrink → `m` 3×3 mapping layers
 //! → 1×1 expand → sub-pixel upsampling (the deconvolution of the original
-//! paper expressed as conv + pixel shuffle).
+//! paper expressed as a 3×3 conv + pixel shuffle).
 //!
 //! ```
-//! use gss_sr::fsrcnn::{Fsrcnn, FsrcnnConfig};
-//! use gss_frame::Frame;
+//! use gss_sr::fsrcnn::FsrcnnConfig;
 //!
-//! let model = Fsrcnn::new(FsrcnnConfig { features: 8, shrink: 4, mapping: 1, scale: 2 });
-//! let hr = model.forward(&Frame::filled(8, 6, [90.0, 128.0, 128.0]));
-//! assert_eq!(hr.size(), (16, 12));
+//! assert_eq!(FsrcnnConfig::default().macs_for_input(300, 300), 1_509_840_000);
 //! ```
-
-use crate::nn::{pixel_shuffle, relu, Conv2d, Tensor};
-use gss_frame::Frame;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// FSRCNN hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,127 +42,42 @@ impl Default for FsrcnnConfig {
     }
 }
 
-/// The FSRCNN super-resolution network.
-#[derive(Debug, Clone)]
-pub struct Fsrcnn {
-    config: FsrcnnConfig,
-    extract: Conv2d,
-    shrink: Conv2d,
-    mapping: Vec<Conv2d>,
-    expand: Conv2d,
-    upsample: Conv2d,
-}
-
-impl Fsrcnn {
-    /// Builds the network with deterministic He-initialized weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any config field is zero.
-    pub fn new(config: FsrcnnConfig) -> Self {
-        assert!(
-            config.features > 0 && config.shrink > 0 && config.mapping > 0 && config.scale > 0,
-            "config fields must be nonzero"
-        );
-        let mut rng = SmallRng::seed_from_u64(0xf5ec_0a7e);
-        let d = config.features;
-        let s = config.shrink;
-        Fsrcnn {
-            extract: Conv2d::init(3, d, 5, &mut rng),
-            shrink: Conv2d::init(d, s, 1, &mut rng),
-            mapping: (0..config.mapping)
-                .map(|_| Conv2d::init(s, s, 3, &mut rng))
-                .collect(),
-            expand: Conv2d::init(s, d, 1, &mut rng),
-            upsample: Conv2d::init(d, 3 * config.scale * config.scale, 3, &mut rng),
-            config,
-        }
-    }
-
-    /// The architecture hyper-parameters.
-    pub fn config(&self) -> FsrcnnConfig {
-        self.config
-    }
-
-    /// Full forward pass: frame in, `scale`-times-larger frame out.
-    pub fn forward(&self, frame: &Frame) -> Frame {
-        let input = Tensor::from_frame(frame);
-        let mut t = self.extract.forward(&input);
-        relu(&mut t);
-        let mut t = self.shrink.forward(&t);
-        relu(&mut t);
-        for conv in &self.mapping {
-            t = conv.forward(&t);
-            relu(&mut t);
-        }
-        let mut t = self.expand.forward(&t);
-        relu(&mut t);
-        let pre = self.upsample.forward(&t);
-        pixel_shuffle(&pre, self.config.scale).to_frame()
-    }
-
-    /// Total multiply-accumulate count for an `h x w` input.
+impl FsrcnnConfig {
+    /// Total multiply-accumulate count for a `width x height` input. Every
+    /// layer runs at the input resolution: extraction (3 → d, 5×5), shrink
+    /// (d → s), `m` mapping layers (s → s, 3×3), expand (s → d) and the
+    /// upsampling conv (d → 3·r², 3×3, before the pixel shuffle).
     pub fn macs_for_input(&self, width: usize, height: usize) -> u64 {
-        let (h, w) = (height, width);
-        let mut total = self.extract.macs(h, w) + self.shrink.macs(h, w);
-        for conv in &self.mapping {
-            total += conv.macs(h, w);
-        }
-        total + self.expand.macs(h, w) + self.upsample.macs(h, w)
+        let d = self.features as u64;
+        let s = self.shrink as u64;
+        let r2 = (self.scale * self.scale) as u64;
+        let per_pixel =
+            3 * d * 25 + d * s + self.mapping as u64 * s * s * 9 + s * d + 3 * d * r2 * 9;
+        per_pixel * (width * height) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edsr::{Edsr, EdsrConfig};
-
-    fn tiny() -> Fsrcnn {
-        Fsrcnn::new(FsrcnnConfig {
-            features: 8,
-            shrink: 4,
-            mapping: 2,
-            scale: 2,
-        })
-    }
-
-    #[test]
-    fn forward_shape_is_scaled() {
-        let f = Frame::filled(7, 5, [90.0, 128.0, 128.0]);
-        assert_eq!(tiny().forward(&f).size(), (14, 10));
-    }
-
-    #[test]
-    fn forward_is_deterministic() {
-        let f = Frame::filled(4, 4, [60.0, 120.0, 130.0]);
-        assert_eq!(tiny().forward(&f), tiny().forward(&f));
-    }
+    use crate::edsr::EdsrConfig;
 
     #[test]
     fn fsrcnn_is_an_order_of_magnitude_cheaper_than_edsr() {
-        let fsrcnn = Fsrcnn::new(FsrcnnConfig::default());
-        let edsr = Edsr::new(EdsrConfig::default());
-        let ratio = edsr.macs_for_input(300, 300) as f64 / fsrcnn.macs_for_input(300, 300) as f64;
+        let edsr = EdsrConfig::default().macs_for_input(300, 300) as f64;
+        let fsrcnn = FsrcnnConfig::default().macs_for_input(300, 300) as f64;
+        let ratio = edsr / fsrcnn;
         assert!(ratio > 10.0, "EDSR/FSRCNN MAC ratio {ratio:.1}");
     }
 
     #[test]
     fn macs_scale_linearly_with_pixels() {
-        let m = tiny();
-        assert_eq!(m.macs_for_input(20, 20), m.macs_for_input(10, 10) * 4);
-    }
-
-    #[test]
-    fn scale_three_shapes() {
-        let m = Fsrcnn::new(FsrcnnConfig {
+        let m = FsrcnnConfig {
             features: 8,
             shrink: 4,
-            mapping: 1,
-            scale: 3,
-        });
-        assert_eq!(
-            m.forward(&Frame::filled(5, 4, [0.0, 128.0, 128.0])).size(),
-            (15, 12)
-        );
+            mapping: 2,
+            scale: 2,
+        };
+        assert_eq!(m.macs_for_input(20, 20), m.macs_for_input(10, 10) * 4);
     }
 }

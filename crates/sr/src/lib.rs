@@ -1,6 +1,7 @@
 //! Super-resolution upscalers for the GameStreamSR reproduction.
 //!
-//! Three families of upscalers, mirroring the systems in the paper:
+//! Two families of upscalers, mirroring the systems in the paper, and the
+//! layer shapes of the SR models the paper runs:
 //!
 //! * **Interpolation** ([`InterpKernel`], [`InterpUpscaler`],
 //!   [`resize_plane`]) — nearest, bilinear, bicubic (Keys a = −0.5) and
@@ -8,16 +9,14 @@
 //!   (`GL_LINEAR`) for the non-RoI region and what NEMO applies to motion
 //!   vectors and residuals; bicubic/lanczos appear in the paper's future-work
 //!   decoder extension (§VI).
-//! * **DNN forward passes** ([`edsr`], [`fsrcnn`], shared blocks in
-//!   [`nn`]) — from-scratch implementations of the EDSR-16/64 architecture
-//!   the paper deploys (conv3x3, residual blocks, pixel shuffle) and the
-//!   lightweight FSRCNN alternative (the paper's design is model-agnostic:
-//!   the client benchmarks "the SR model of the user's choice"). Weights
-//!   are deterministic He initializations: the forward passes give honest
-//!   *computational* structure (layer shapes, MAC counts feeding the
-//!   platform model) but untrained weights cannot give trained quality,
-//!   which is why quality measurements use the proxy below. See
-//!   `DESIGN.md` § substitutions.
+//! * **SR model shapes** ([`edsr::EdsrConfig`], [`fsrcnn::FsrcnnConfig`],
+//!   [`ModelTier`]) — the layer shapes of the EDSR-16/64 network the paper
+//!   deploys and of the lighter FSRCNN (the paper's design is
+//!   model-agnostic: the client benchmarks "the SR model of the user's
+//!   choice"), and the multiply-accumulate counts they imply. The platform
+//!   model scales NPU latency by those counts ([`ModelTier::cost_ratio`]).
+//!   No network runs here, which is why quality measurements use the proxy
+//!   below. See `DESIGN.md` § substitutions.
 //! * **Neural-quality proxy** ([`NeuralSr`]) — bicubic initialization
 //!   followed by iterative back-projection against the degradation operator,
 //!   plus a light detail-restoration pass. A classical SR algorithm that
@@ -41,7 +40,6 @@ pub mod edsr;
 pub mod fsrcnn;
 mod interp;
 mod neural;
-pub mod nn;
 mod tier;
 
 pub use interp::{resize_frame, resize_plane, InterpKernel, InterpUpscaler};

@@ -34,8 +34,8 @@ impl Default for NeuralSrConfig {
 /// iterative back-projection (Irani & Peleg) against the box downsampling
 /// operator the simulated server applies, and a light unsharp detail pass.
 /// Its PSNR consistently dominates bilinear and bicubic interpolation —
-/// preserving the quality *ordering* the paper's results rest on — while the
-/// [`crate::edsr`] module supplies the true computational cost structure.
+/// preserving the quality *ordering* the paper's results rest on — while
+/// [`crate::edsr::EdsrConfig`] supplies the model's cost (its MAC count).
 ///
 /// ```
 /// use gss_frame::Frame;

@@ -8,6 +8,7 @@
 //! proportionally cheaper NPU pass.
 
 use crate::edsr::EdsrConfig;
+use crate::fsrcnn::FsrcnnConfig;
 use crate::neural::NeuralSrConfig;
 use serde::{Deserialize, Serialize};
 
@@ -36,28 +37,22 @@ impl ModelTier {
     }
 
     /// Per-pixel MAC cost relative to the calibrated EDSR-64 — the ratio
-    /// the platform timing model scales NPU latency by. The constants are
-    /// the exact analytic MAC ratios of the architectures in this crate (a
-    /// unit test pins them against `macs_for_input` of
-    /// [`crate::edsr::Edsr`] / [`crate::fsrcnn::Fsrcnn`]).
+    /// the platform timing model scales NPU latency by, worked out from
+    /// the architectures' layer shapes.
     pub fn cost_ratio(self) -> f64 {
-        match self {
-            ModelTier::Edsr64 => 1.0,
-            ModelTier::Edsr16 => 87_408.0 / 1_372_608.0,
-            ModelTier::Fsrcnn => 16_776.0 / 1_372_608.0,
-        }
+        self.macs_per_pixel() as f64 / ModelTier::Edsr64.macs_per_pixel() as f64
     }
 
-    /// The architecture config this tier's timing cost corresponds to,
-    /// for MAC accounting.
-    pub fn edsr_config(self) -> Option<EdsrConfig> {
+    /// Multiply-accumulates per input pixel of this tier's architecture.
+    fn macs_per_pixel(self) -> u64 {
         match self {
-            ModelTier::Edsr64 => Some(EdsrConfig::default()),
-            ModelTier::Edsr16 => Some(EdsrConfig {
+            ModelTier::Edsr64 => EdsrConfig::default().macs_for_input(1, 1),
+            ModelTier::Edsr16 => EdsrConfig {
                 channels: 16,
                 ..EdsrConfig::default()
-            }),
-            ModelTier::Fsrcnn => None,
+            }
+            .macs_for_input(1, 1),
+            ModelTier::Fsrcnn => FsrcnnConfig::default().macs_for_input(1, 1),
         }
     }
 
@@ -85,28 +80,12 @@ impl ModelTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edsr::Edsr;
-    use crate::fsrcnn::{Fsrcnn, FsrcnnConfig};
 
     #[test]
-    fn cost_ratios_match_the_architectures_mac_counts() {
-        let edsr64 = Edsr::new(EdsrConfig::default()).macs_for_input(96, 96) as f64;
-        let edsr16 =
-            Edsr::new(ModelTier::Edsr16.edsr_config().unwrap()).macs_for_input(96, 96) as f64;
-        let fsrcnn = Fsrcnn::new(FsrcnnConfig::default()).macs_for_input(96, 96) as f64;
-        let check = |tier: ModelTier, measured: f64| {
-            let err = (tier.cost_ratio() - measured).abs() / measured;
-            assert!(
-                err < 0.01,
-                "{}: declared {:.5} vs measured {:.5}",
-                tier.label(),
-                tier.cost_ratio(),
-                measured
-            );
-        };
-        check(ModelTier::Edsr64, 1.0);
-        check(ModelTier::Edsr16, edsr16 / edsr64);
-        check(ModelTier::Fsrcnn, fsrcnn / edsr64);
+    fn cost_ratios_are_the_architectures_mac_ratios() {
+        assert_eq!(ModelTier::Edsr64.cost_ratio(), 1.0);
+        assert_eq!(ModelTier::Edsr16.cost_ratio(), 87_408.0 / 1_372_608.0);
+        assert_eq!(ModelTier::Fsrcnn.cost_ratio(), 16_776.0 / 1_372_608.0);
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl SampledSession {
     /// (strict, so `now`'s own window `[now - K, now - 1]` is preserved).
     fn prune_ring(&mut self, now: u64, k: u64) {
         while let Some(front) = self.ring.front() {
-            if front.frame + k < now {
+            if front.frame.saturating_add(k) < now {
                 self.ring.pop_front();
                 self.evicted += 1;
             } else {
@@ -251,7 +251,7 @@ impl SampledSession {
             // Upgrade retained baselines inside the backward window so
             // budget pressure cannot evict the anomaly's context later.
             for kept in self.retained.iter_mut().rev() {
-                if kept.frame.frame + k < fno {
+                if kept.frame.frame.saturating_add(k) < fno {
                     break;
                 }
                 if kept.reason == KeepReason::Baseline {
@@ -263,7 +263,7 @@ impl SampledSession {
                 frame,
             });
             self.anomaly_kept += 1;
-            self.retain_until = Some(fno + k);
+            self.retain_until = Some(fno.saturating_add(k));
         } else if self.retain_until.is_some_and(|until| fno <= until) {
             self.retained.push(RetainedFrame {
                 reason: KeepReason::Context,
@@ -794,6 +794,29 @@ mod tests {
             ]
         );
         assert_eq!(sink.stats().anomaly_kept, 1);
+    }
+
+    #[test]
+    fn an_unbounded_context_window_keeps_every_frame() {
+        let (sink, mut rec) = sampler(policy(0, u64::MAX, usize::MAX));
+        for f in 0..5 {
+            let kind = (f == 2).then_some(InstantKind::Nack);
+            record_frame(&mut rec, f, 10.0, kind);
+        }
+        rec.finish();
+        assert_eq!(
+            reasons(&sink),
+            vec![
+                (0, KeepReason::Context),
+                (1, KeepReason::Context),
+                (2, KeepReason::Anomaly),
+                (3, KeepReason::Context),
+                (4, KeepReason::Context),
+            ]
+        );
+        let st = sink.stats();
+        assert_eq!(st.frames, st.retained + st.evicted);
+        assert_eq!(st.evicted, 0);
     }
 
     #[test]

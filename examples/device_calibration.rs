@@ -9,11 +9,11 @@
 
 use gss::core::roi::plan_roi_window;
 use gss::platform::{DeviceProfile, REALTIME_BUDGET_MS};
-use gss::sr::edsr::{Edsr, EdsrConfig};
+use gss::sr::edsr::EdsrConfig;
 
 fn main() {
     println!("EDSR-16/64 x2 (the paper's SR model):");
-    let model = Edsr::new(EdsrConfig::default());
+    let model = EdsrConfig::default();
     for side in [100usize, 200, 300, 720] {
         let macs = model.macs_for_input(side, side);
         println!(
